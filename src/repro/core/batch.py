@@ -19,8 +19,9 @@ kernel shared with the serving fast path:
   times), dependency bitmasks and permutation plans are computed once
   and shared by every replication — a plan is keyed by its burst bounds,
   so replications whose feedback agrees reuse the same permutation;
-* per-window CLF and per-layer bursts of all ``R`` rows come from the
-  stacked :func:`repro.accel.batch_worst_clf` kernel;
+* per-window CLF and per-layer bursts are scored from each row's
+  received-offsets bitmask, once per distinct mask and plan, and shared
+  by every row that hits it;
 * under the kernel's fused tier, rows whose window sees no loss (or no
   lost anchor) collapse onto a shared first-attempt timeline instead of
   replaying the scalar sender loop.

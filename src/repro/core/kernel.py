@@ -22,8 +22,9 @@ both accel backends, with and without NumPy):
 
 ``reference``
     The row engine's original shape: a scalar per-row sender loop,
-    then a receiver pass whose continuity and per-layer burst
-    measurements stack into :func:`repro.accel.batch_worst_clf` calls.
+    then a receiver pass that scores each row's received-offsets
+    bitmask (decodability, CLF and per-layer bursts are computed once
+    per distinct mask and plan, and shared by the rows that hit it).
 
 ``fused``
     A single pass per window batch: loss flags are Gilbert-sampled in
@@ -63,6 +64,19 @@ to the accel backend: the fused tier runs — and is parity-tested — on
 the pure backend too; the NumPy backend vectorizes its stacked kernel
 calls.
 
+Allocation rule
+---------------
+Stepping a window allocates many long-lived containers (per-window
+results, received/decodable sets, ACK dicts) but must never create a
+reference cycle: everything it builds is freed by reference counting
+alone.  That is why :func:`step_window` and :func:`step_fleet` pause
+the garbage collector while they run — its generational scans would
+only re-walk the growing result heap and find nothing to free.  The
+pause is taken only if the collector was on, and undone in a
+``finally``, so nested calls and callers that already turned it off
+are left as they were.  The collector is process-wide: other threads
+also go uncollected while a step runs.
+
 Fleet state
 -----------
 :class:`FleetState` snapshots the numeric per-row columns as a
@@ -75,14 +89,17 @@ processes without pickling per-session objects.
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import secrets
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import (
     Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -97,7 +114,6 @@ from repro.core.layered import LayeredPlan, LayeredScheduler
 from repro.core.protocol import ProtocolConfig, SessionResult, WindowResult
 from repro.errors import ConfigurationError
 from repro.media.ldu import Ldu
-from repro.metrics.continuity import consecutive_loss
 from repro.metrics.windows import WindowSeries
 from repro.network.estimation import GilbertEstimator
 from repro.network.feedback import Feedback, FeedbackCollector
@@ -369,6 +385,7 @@ class SessionRow:
         "native_ctl",
         "native_rng",
         "native_flags",
+        "__weakref__",
     )
 
     def __init__(self, config: ProtocolConfig, seed: int) -> None:
@@ -457,7 +474,6 @@ class RowWindow:
     sent: Dict[int, Tuple[float, bool]]   # offset -> (completed_at, delivered)
     first_attempt: List[int]
     layer_sequences: Tuple[Tuple[int, ...], ...]
-    received: frozenset = frozenset()
 
 
 # ----------------------------------------------------------------------
@@ -683,13 +699,6 @@ def run_row_sender(
         shed = shed_for(row, plan) if shed_for is not None else frozenset()
     assert layer_sequences is not None and shed is not None
 
-    result = WindowResult(
-        index=window_index,
-        frames=info.n,
-        transmission_order=plan.order,
-        layer_sizes={layer.index: layer.size for layer in plan.layers},
-    )
-
     frag_counts = info.frag_counts
     frag_times = info.frag_times
     frame_ser = info.frame_ser
@@ -699,14 +708,66 @@ def run_row_sender(
     flags = row.flags
     pos = row.pos
     busy = row.fwd_busy
-    packets_offered = 0
-    packets_lost = 0
+    order = plan.order
+    order_len = len(order)
+    packets_offered = packets_lost = 0
+    sent_frames = dropped = shed_frames = lost_frames = 0
+    retransmissions = recovered = 0
     sent: Dict[int, Tuple[float, bool]] = {}
-    queue: List[Tuple[int, float]] = []   # (offset, completed_at)
-
-    def offer(offset: int, start: float) -> Tuple[float, int]:
-        """Serialize one frame from ``start``; (completed_at, packets lost)."""
-        nonlocal pos, busy, packets_offered, packets_lost
+    first_attempt: List[int] = []
+    queue: List[Tuple[int, float]] = []  # lost anchors: (offset, completed_at)
+    due: List[Tuple[int, float]] = []    # retries owed before order[index]
+    index = 0
+    scanned = -1                         # order index whose retries are collected
+    tail = False
+    # Each pass serializes one frame: a retransmission whose NACK round
+    # trip has elapsed, the next first attempt, or — once the order is
+    # exhausted — a retry in the idle tail of the cycle.
+    while True:
+        if due:
+            record = due.pop()
+            queue.remove(record)
+            offset, completed_at = record
+            retry = True
+        elif index < order_len:
+            offset = order[index]
+            if offset in shed:
+                index += 1
+                dropped += 1
+                shed_frames += 1
+                continue
+            link_free = window_start if window_start > busy else busy
+            if queue and scanned != index:
+                scanned = index
+                due = [record for record in queue if record[1] + rtt <= link_free]
+                due.reverse()  # pop() then retries them in queue order
+                continue
+            index += 1
+            if link_free + frame_ser[offset] > window_end:
+                dropped += 1
+                continue
+            at = link_free
+            retry = False
+        elif queue:
+            # The idle tail of the cycle is retransmission time: keep
+            # retrying lost anchors, one NACK round trip apart, while
+            # the cycle allows.
+            record = min(queue, key=lambda r: r[1])
+            queue.remove(record)
+            offset, completed_at = record
+            retry = tail = True
+        else:
+            break
+        if retry:
+            # A due retry's round trip has already elapsed, so it starts
+            # when the link frees; a tail retry may wait for its NACK.
+            due_at = completed_at + rtt
+            link_free = window_start if window_start > busy else busy
+            at = due_at if due_at > link_free else link_free
+            if at + frame_ser[offset] > window_end:
+                if tail:
+                    break
+                continue
         count = frag_counts[offset]
         if len(flags) - pos < count:
             deficit = count - (len(flags) - pos)
@@ -714,7 +775,7 @@ def run_row_sender(
             row.refill(max(deficit, 64), config)
             if obs.enabled():
                 obs.counter("batch.refills").inc()
-        completed = start
+        completed = at
         for serialization in frag_times[offset]:
             completed = completed + serialization
         if count == 1:
@@ -725,63 +786,21 @@ def run_row_sender(
         busy = completed
         packets_offered += count
         packets_lost += lost
-        return completed, lost
-
-    def retransmit_one(offset: int, completed_at: float, now: float) -> bool:
-        """Retry one lost frame; False when its budget ran out."""
-        due_at = completed_at + rtt
-        start = now if now > due_at else due_at
-        link_free = window_start if window_start > busy else busy
-        at = start if start > link_free else link_free
-        if at + frame_ser[offset] > window_end:
-            return False
-        completed, lost = offer(offset, at)
-        result.retransmissions += 1
-        if lost == 0:
-            result.recovered += 1
-            sent[offset] = (completed, True)
-        else:
-            queue.append((offset, completed))
-        return True
-
-    def try_retransmissions(now: float) -> None:
-        if not retransmit or not queue:
-            return
-        due = [record for record in queue if record[1] + rtt <= now]
-        for record in due:
-            queue.remove(record)
-            retransmit_one(record[0], record[1], now)
-
-    first_attempt: List[int] = []
-    for offset in plan.order:
-        if offset in shed:
-            result.dropped_at_sender += 1
-            result.shed += 1
-            continue
-        link_free = window_start if window_start > busy else busy
-        try_retransmissions(link_free)
-        link_free = window_start if window_start > busy else busy
-        if link_free + frame_ser[offset] > window_end:
-            result.dropped_at_sender += 1
-            continue
-        completed, lost = offer(offset, link_free)
-        result.sent += 1
-        delivered = lost == 0
-        sent[offset] = (completed, delivered)
-        first_attempt.append(0 if delivered else 1)
-        if not delivered:
-            result.lost_in_network += 1
-            if retransmit and offset in anchors:
+        if retry:
+            retransmissions += 1
+            if lost:
                 queue.append((offset, completed))
-    # The idle tail of the cycle is retransmission time: keep retrying
-    # lost anchors, one NACK round trip apart, while the cycle allows.
-    if retransmit:
-        while queue:
-            record = min(queue, key=lambda r: r[1])
-            queue.remove(record)
-            link_free = window_start if window_start > busy else busy
-            if not retransmit_one(record[0], record[1], link_free):
-                break
+            else:
+                recovered += 1
+                sent[offset] = (completed, True)
+        else:
+            sent_frames += 1
+            sent[offset] = (completed, not lost)
+            first_attempt.append(1 if lost else 0)
+            if lost:
+                lost_frames += 1
+                if retransmit and offset in anchors:
+                    queue.append((offset, completed))
 
     row.pos = pos
     row.fwd_busy = busy
@@ -791,7 +810,18 @@ def run_row_sender(
         obs.counter("channel.packets").inc(packets_offered)
         obs.counter("channel.losses").inc(packets_lost)
     return RowWindow(
-        result=result,
+        result=WindowResult(
+            index=window_index,
+            frames=info.n,
+            transmission_order=order,
+            sent=sent_frames,
+            dropped_at_sender=dropped,
+            shed=shed_frames,
+            lost_in_network=lost_frames,
+            retransmissions=retransmissions,
+            recovered=recovered,
+            layer_sizes={layer.index: layer.size for layer in plan.layers},
+        ),
         sent=sent,
         first_attempt=first_attempt,
         layer_sequences=layer_sequences,
@@ -901,6 +931,53 @@ def _control_serialization_for(
     return control_serialization
 
 
+#: (decodable, clf, layer bursts, ACK loss rates) of one received mask.
+_MaskVerdict = Tuple[set, int, Dict[int, int], Dict[int, float]]
+
+
+def _mask_verdict(
+    mask: int,
+    info: WindowInfo,
+    sequences: Tuple[Tuple[int, ...], ...],
+) -> _MaskVerdict:
+    """Receiver facts that depend only on the received-offsets bitmask.
+
+    Returns ``(decodable, clf, layer_bursts, ack_loss_rates)``: frame
+    ``f`` is decodable iff its need-mask is a subset of ``mask``, the
+    CLF is the longest run of undecodable offsets, and each layer's
+    burst is the longest run of unreceived frames in that layer's
+    transmission sequence.  The returned containers are shared
+    read-only by every row with the same mask and plan.
+    """
+    n = info.n
+    need_masks = info.shape.need_masks
+    decodable = set()
+    clf = run = 0
+    for offset in range(n):
+        if need_masks[offset] & ~mask:
+            run += 1
+            if run > clf:
+                clf = run
+        else:
+            run = 0
+            decodable.add(offset)
+    bursts: Dict[int, int] = {}
+    for layer, sequence in zip(info.shape.transmission.layers, sequences):
+        burst = run = 0
+        for offset in sequence:
+            if mask >> offset & 1:
+                run = 0
+            else:
+                run += 1
+                if run > burst:
+                    burst = run
+        bursts[layer.index] = burst
+    rates = {
+        layer: min(1.0, burst / max(1, n)) for layer, burst in bursts.items()
+    }
+    return decodable, clf, bursts, rates
+
+
 def _receive_and_ack(
     pairs: Sequence[Tuple[SessionRow, RowWindow]],
     info: WindowInfo,
@@ -914,59 +991,44 @@ def _receive_and_ack(
     """Arrivals, decodability, CLF and ACKs for rows with per-row deliveries."""
     n = info.n
     rtt_half = config.rtt / 2.0
-    need_masks = info.shape.need_masks
-    indicator_rows: List[List[int]] = []
-    for _, data in pairs:
+    verdicts: Dict[Tuple[int, int], _MaskVerdict] = {}
+    for row, data in pairs:
         result = data.result
+        arrival_times = result.arrival_times
         received = set()
+        mask = late = 0
         for offset, (completed, delivered) in data.sent.items():
             if not delivered:
                 continue
             arrival = completed + rtt_half
             if arrival <= slot_times[offset]:
                 received.add(offset)
-                result.arrival_times[offset] = arrival
+                arrival_times[offset] = arrival
+                mask |= 1 << offset
             else:
-                result.late += 1
+                late += 1
+        # Plans (and so their sequence tuples) are cached per shape and
+        # alive for the whole step, so identity keys are stable here.
+        key = (mask, id(data.layer_sequences))
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = _mask_verdict(mask, info, data.layer_sequences)
+            verdicts[key] = verdict
+        decodable, clf, bursts, rates = verdict
+        result.late = late
         result.received = received
         result.playback_start = playback_start
-        mask = 0
-        for offset in received:
-            mask |= 1 << offset
-        decodable = {
-            offset for offset in range(n) if need_masks[offset] & ~mask == 0
-        }
         result.decodable = decodable
-        data.received = frozenset(received)
-        indicator = [0 if offset in decodable else 1 for offset in range(n)]
-        result.unit_losses = sum(indicator)
-        indicator_rows.append(indicator)
-
-    for clf, (_, data) in zip(accel.batch_worst_clf(indicator_rows), pairs):
-        data.result.clf = clf
-
-    # Per-layer observed bursts: the layer structure is shared, the
-    # permutation (hence the transmission sequence) is per-row.
-    layers = info.shape.transmission.layers
-    for layer_position, layer in enumerate(layers):
-        matrix = [
-            [
-                1 if offset not in data.received else 0
-                for offset in data.layer_sequences[layer_position]
-            ]
-            for _, data in pairs
-        ]
-        for burst, (_, data) in zip(accel.batch_worst_clf(matrix), pairs):
-            data.result.layer_bursts[layer.index] = burst
-
-    for row, data in pairs:
-        result = data.result
+        result.unit_losses = n - len(decodable)
+        result.clf = clf
+        result.layer_bursts = bursts
         first_attempt = data.first_attempt
-        result.first_attempt_stats = (
+        stats = (
             sum(first_attempt),
             loss_run_count(first_attempt),
             len(first_attempt),
         )
+        result.first_attempt_stats = stats
         send_ack(
             row,
             config,
@@ -974,9 +1036,12 @@ def _receive_and_ack(
             window_end,
             result,
             _control_serialization_for(control_serialization, row),
+            loss_rates=rates,
+            loss_statistics=stats,
+            burst_estimates=bursts,
         )
         row.result.windows.append(result)
-        row.result.series.add_clf(result.clf, result.alf)
+        row.result.series.add_clf(clf, result.alf)
 
 
 def _observe_window(results: Sequence[WindowResult], rows: int) -> None:
@@ -1090,43 +1155,27 @@ class _CleanVerdict:
         rtt_half: float,
         slot_times: Sequence[float],
     ) -> None:
-        n = info.n
         received = set()
         arrival_times: Dict[int, float] = {}
-        late = 0
+        mask = late = 0
         for offset, completed, _, _ in sched.attempts:
             arrival = completed + rtt_half
             if arrival <= slot_times[offset]:
                 received.add(offset)
                 arrival_times[offset] = arrival
+                mask |= 1 << offset
             else:
                 late += 1
-        mask = 0
-        for offset in received:
-            mask |= 1 << offset
-        need_masks = info.shape.need_masks
-        decodable = {
-            offset for offset in range(n) if need_masks[offset] & ~mask == 0
-        }
-        indicator = [0 if offset in decodable else 1 for offset in range(n)]
+        decodable, clf, bursts, rates = _mask_verdict(mask, info, sequences)
         self.received = received
         self.arrival_times = arrival_times
         self.late = late
         self.decodable = decodable
-        self.unit_losses = sum(indicator)
-        self.clf = consecutive_loss(indicator)
-        layers = info.shape.transmission.layers
-        bursts: Dict[int, int] = {}
-        for layer, sequence in zip(layers, sequences):
-            losses = [
-                1 if offset not in received else 0 for offset in sequence
-            ]
-            bursts[layer.index] = consecutive_loss(losses)
+        self.unit_losses = info.n - len(decodable)
+        self.clf = clf
         self.layer_bursts = bursts
         # ACK fields shared by every row on this verdict (read-only).
-        self.ack_loss_rates = {
-            layer: min(1.0, burst / max(1, n)) for layer, burst in bursts.items()
-        }
+        self.ack_loss_rates = rates
         self.ack_stats = (0, 0, sched.sent_count)
         #: Memo for the cohort's ACK message: rows stepping in lockstep
         #: share the same sequence number, so one immutable Feedback
@@ -1444,6 +1493,25 @@ def _step_reference(
         _observe_window([data.result for _, data in pairs], len(rows))
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Turn the garbage collector off for the block, if it was on.
+
+    Stepping creates no reference cycles (the module's allocation
+    rule), so a collection during a step can free nothing and only
+    re-scans the result heap.  A collector the caller already turned
+    off — or an enclosing step paused — is left as it was.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 def step_window(
     rows: Sequence[SessionRow],
     info: WindowInfo,
@@ -1468,6 +1536,8 @@ def step_window(
 
     Results accumulate on each row's :class:`SessionResult` exactly as
     the sequential engine would have produced them, whichever tier runs.
+    The garbage collector is paused for the duration of the step (see
+    the module's allocation rule).
     """
     if not rows:
         return
@@ -1477,21 +1547,22 @@ def step_window(
         obs.counter("kernel.rows").inc(len(rows))
         obs.counter(f"kernel.dispatch.{active}").inc()
         obs.histogram("kernel.rows_per_window").observe(len(rows))
-    if active == FUSED:
-        _step_fused(
-            rows, info, config, fps, window_index, control_serialization, shed_for
-        )
-    elif active == NATIVE:
-        # Imported lazily: the native package imports this module.
-        from repro.core.native import step_native
+    with _collector_paused():
+        if active == FUSED:
+            _step_fused(
+                rows, info, config, fps, window_index, control_serialization, shed_for
+            )
+        elif active == NATIVE:
+            # Imported lazily: the native package imports this module.
+            from repro.core.native import step_native
 
-        step_native(
-            rows, info, config, fps, window_index, control_serialization, shed_for
-        )
-    else:
-        _step_reference(
-            rows, info, config, fps, window_index, control_serialization, shed_for
-        )
+            step_native(
+                rows, info, config, fps, window_index, control_serialization, shed_for
+            )
+        else:
+            _step_reference(
+                rows, info, config, fps, window_index, control_serialization, shed_for
+            )
 
 
 # ----------------------------------------------------------------------
@@ -1535,49 +1606,51 @@ def step_fleet(batches: Sequence[FleetBatch], *, tier: Optional[str] = None) -> 
     sequence.
 
     Returns the number of rows refilled (callers feed their own
-    telemetry from it).
+    telemetry from it).  Like :func:`step_window`, it pauses the
+    garbage collector while it runs.
     """
-    # The slab-wide refill groups rows by their full channel dynamics:
-    # stationary parameters AND phase schedule.  Two batches differing
-    # only in ``channel_phases`` must never share a stacked prefetch.
-    refills: Dict[
-        Tuple[float, float, Optional[Tuple[GilbertPhase, ...]]],
-        List[Tuple[SessionRow, int, int]],
-    ] = {}
-    for batch in batches:
-        entries = plan_refills(
-            batch.rows, batch.info.first_attempt_packets + PREFETCH_SLACK
-        )
-        if entries:
-            refills.setdefault(
-                (
-                    batch.config.p_good,
-                    batch.config.p_bad,
-                    batch.config.channel_phases,
-                ),
-                [],
-            ).extend(entries)
-    refill_rows = 0
-    for (p_good, p_bad, phases), entries in refills.items():
-        prefetch_flags(entries, p_good, p_bad, phases=phases)
-        refill_rows += len(entries)
-    if obs.enabled():
-        obs.counter("kernel.slab.steps").inc()
-        obs.counter("kernel.slab.batches").inc(len(batches))
-        if refill_rows:
-            obs.counter("kernel.slab.refill_rows").inc(refill_rows)
-    for batch in batches:
-        step_window(
-            batch.rows,
-            batch.info,
-            batch.config,
-            batch.fps,
-            batch.window_index,
-            control_serialization=batch.control_serialization,
-            shed_for=batch.shed_for,
-            tier=tier,
-        )
-    return refill_rows
+    with _collector_paused():
+        # The slab-wide refill groups rows by their full channel dynamics:
+        # stationary parameters AND phase schedule.  Two batches differing
+        # only in ``channel_phases`` must never share a stacked prefetch.
+        refills: Dict[
+            Tuple[float, float, Optional[Tuple[GilbertPhase, ...]]],
+            List[Tuple[SessionRow, int, int]],
+        ] = {}
+        for batch in batches:
+            entries = plan_refills(
+                batch.rows, batch.info.first_attempt_packets + PREFETCH_SLACK
+            )
+            if entries:
+                refills.setdefault(
+                    (
+                        batch.config.p_good,
+                        batch.config.p_bad,
+                        batch.config.channel_phases,
+                    ),
+                    [],
+                ).extend(entries)
+        refill_rows = 0
+        for (p_good, p_bad, phases), entries in refills.items():
+            prefetch_flags(entries, p_good, p_bad, phases=phases)
+            refill_rows += len(entries)
+        if obs.enabled():
+            obs.counter("kernel.slab.steps").inc()
+            obs.counter("kernel.slab.batches").inc(len(batches))
+            if refill_rows:
+                obs.counter("kernel.slab.refill_rows").inc(refill_rows)
+        for batch in batches:
+            step_window(
+                batch.rows,
+                batch.info,
+                batch.config,
+                batch.fps,
+                batch.window_index,
+                control_serialization=batch.control_serialization,
+                shed_for=batch.shed_for,
+                tier=tier,
+            )
+        return refill_rows
 
 
 # ----------------------------------------------------------------------

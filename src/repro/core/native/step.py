@@ -39,11 +39,12 @@ While the native tier steps a row, its Equation-1 estimators live in
 tuple (identity-compared), ``vals`` a flat float64 list of
 ``(present, window, estimate, observations)`` per layer.  The
 controller objects remain reachable — ``AdaptiveController._sync`` is
-pointed at a write-back closure, so any external read (the scenario
-harness's b-hat series, the serve shed policy, a tier switch mid-run)
-dissolves the columns back into objects first.  The Gilbert-fit
-estimator and the feedback collector stay object-resident: both are
-read directly by serve-side policies mid-window.
+pointed at a write-back hook (holding the row weakly, so no reference
+cycle forms), so any external read (the scenario harness's b-hat
+series, the serve shed policy, a tier switch mid-run) dissolves the
+columns back into objects first.  The Gilbert-fit estimator and the
+feedback collector stay object-resident: both are read directly by
+serve-side policies mid-window.
 
 Downgrades
 ----------
@@ -57,6 +58,7 @@ once per process per reason.
 from __future__ import annotations
 
 import warnings
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 try:  # pragma: no cover - exercised via the backend matrix in CI
@@ -121,12 +123,24 @@ def _dissolve_row(row) -> None:
         est.observations = int(vals[base + 3])
 
 
-def _make_sync(row, controller):
-    def sync() -> None:
-        if controller._sync is sync:
-            _dissolve_row(row)
+class _RowSync:
+    """``AdaptiveController._sync`` hook: dissolve the row's columns.
 
-    return sync
+    Holds the row weakly.  The row owns the controller, so a strong
+    reference back would make every natively stepped row — and its whole
+    result history — a reference cycle that only the garbage collector
+    can free (see the kernel's allocation rule).
+    """
+
+    __slots__ = ("row",)
+
+    def __init__(self, row) -> None:
+        self.row = weakref.ref(row)
+
+    def __call__(self) -> None:
+        row = self.row()
+        if row is not None and row.controller._sync is self:
+            _dissolve_row(row)
 
 
 def _ctl_of(row, cols, alpha) -> Optional[List[float]]:
@@ -161,7 +175,7 @@ def _ctl_of(row, cols, alpha) -> Optional[List[float]]:
                 )
             )
     row.native_ctl = (cols, vals)
-    controller._sync = _make_sync(row, controller)
+    controller._sync = _RowSync(row)
     return vals
 
 

@@ -196,19 +196,7 @@ class Poset(Generic[T]):
         """
         if not self._elements:
             return 0
-        # Longest path in the DAG of strict relations; memoized DFS.
-        memo: Dict[T, int] = {}
-
-        def height(x: T) -> int:
-            if x in memo:
-                return memo[x]
-            best = 1
-            for y in self._above[x]:
-                best = max(best, 1 + height(y))
-            memo[x] = best
-            return best
-
-        return max(height(x) for x in self._elements)
+        return 1 + max(self.ranks().values())
 
     def ranks(self) -> Dict[T, int]:
         """Rank of each element: minimal elements get 0, covers add one.
@@ -219,17 +207,15 @@ class Poset(Generic[T]):
         the longest chain ending at the element, which always yields a
         valid antichain decomposition.
         """
-        memo: Dict[T, int] = {}
-
-        def rank(x: T) -> int:
-            if x in memo:
-                return memo[x]
-            below = self._below[x]
-            value = 0 if not below else 1 + max(rank(y) for y in below)
-            memo[x] = value
-            return value
-
-        return {x: rank(x) for x in self._elements}
+        below = self._below
+        # ``below`` is transitively closed, so y < x makes below(y) a
+        # proper subset of below(x): ascending |below| is a linear
+        # extension, and every element's rank is known before it is read.
+        rank: Dict[T, int] = {}
+        for x in sorted(self._elements, key=lambda x: len(below[x])):
+            under = below[x]
+            rank[x] = 1 + max(map(rank.__getitem__, under)) if under else 0
+        return {x: rank[x] for x in self._elements}
 
     def is_ranked(self) -> bool:
         """Whether the rank function is consistent with the cover relation.

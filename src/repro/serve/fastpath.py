@@ -24,8 +24,8 @@ The fast path exploits exactly that factorisation:
    (:func:`repro.core.kernel.step_window` — the same engine behind
    :mod:`repro.core.batch`): one
    :func:`repro.accel.gilbert_states_batch` prefetch across the fleet
-   per window, stacked :func:`repro.accel.batch_worst_clf` calls for
-   per-window and per-layer CLF, permutation plans shared per window
+   per window, per-window and per-layer CLF scored once per distinct
+   received-offsets bitmask, permutation plans shared per window
    shape, and — under the kernel's fused tier — whole rows collapsed
    onto shared first-attempt timelines when their losses allow.  Load
    shedding runs through the same

@@ -26,8 +26,8 @@ The hierarchy splits the two axes:
    timeline (:class:`~repro.serve.fastpath._PlanningService`), then
    advances *all* of its admitted fleets per window epoch through one
    :func:`repro.core.kernel.step_fleet` slab call — cross-shard rows
-   refill off one stacked Gilbert draw per channel family and batch
-   into shared :func:`~repro.accel.batch_worst_clf` stacks, with no
+   refill off one stacked Gilbert draw per channel family and share
+   receiver verdicts per distinct received-offsets bitmask, with no
    per-session Python object crossing a process boundary.  Per-row
    draws come off private streams, so interleaving shards changes no
    row's loss sequence (the parity battery in

@@ -29,13 +29,22 @@ def _plain_losses(model: GilbertModel, count: int) -> list:
     return states
 
 
-def _min_time(func, repeats: int) -> float:
-    best = float("inf")
+def _interleaved_min_times(first, second, repeats: int) -> tuple:
+    """(min time of ``first``, min time of ``second``), timed alternately.
+
+    Alternating the two arms within each repeat means a drift in CPU
+    speed hits both arms alike instead of whichever block ran second
+    (the same scheme as ``tools/obs_overhead_guard.py``).
+    """
+    best_first = best_second = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - started)
-    return best
+        first()
+        best_first = min(best_first, time.perf_counter() - started)
+        started = time.perf_counter()
+        second()
+        best_second = min(best_second, time.perf_counter() - started)
+    return best_first, best_second
 
 
 class TestDisabledOverhead:
@@ -44,8 +53,11 @@ class TestDisabledOverhead:
         batch = 50_000
         instrumented = GilbertModel(p_good=0.92, p_bad=0.6, seed=3)
         baseline = GilbertModel(p_good=0.92, p_bad=0.6, seed=3)
-        t_instr = _min_time(lambda: instrumented.losses(batch), repeats=7)
-        t_base = _min_time(lambda: _plain_losses(baseline, batch), repeats=7)
+        t_instr, t_base = _interleaved_min_times(
+            lambda: instrumented.losses(batch),
+            lambda: _plain_losses(baseline, batch),
+            repeats=7,
+        )
         assert t_instr <= t_base * 1.25
 
     def test_disabled_updates_allocate_no_instruments(self):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CycleError, PosetError
+from repro.poset.builders import h261_poset
 from repro.poset.poset import Poset, antichain, chain
 
 
@@ -172,3 +176,54 @@ class TestFactories:
         layers = rank_decomposition(chain(n))
         assert len(layers) == n
         assert all(len(layer) == 1 for layer in layers)
+
+
+def _stack_depth() -> int:
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+class TestRanksIterative:
+    def test_deep_chain_needs_no_recursion(self):
+        # A single-intra H.261 stream is one long dependency chain.  Any
+        # recursion over it would need a frame per element; with the
+        # limit just above the current depth even a 600-chain overflows.
+        frames = 600
+        poset = h261_poset(frames, intra_interval=frames)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 50)
+        try:
+            ranks = poset.ranks()
+            longest = poset.longest_chain_length()
+        finally:
+            sys.setrecursionlimit(limit)
+        assert ranks == {i: frames - 1 - i for i in range(frames)}
+        assert longest == frames
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_dags())
+    def test_ranks_satisfy_the_recursive_definition(self, dag):
+        n, edges = dag
+        poset = Poset(range(n), edges)
+        ranks = poset.ranks()
+        assert list(ranks) == list(range(n))
+        for x in range(n):
+            below = poset.below(x)
+            expected = 1 + max(ranks[y] for y in below) if below else 0
+            assert ranks[x] == expected
+        assert poset.longest_chain_length() == 1 + max(ranks.values())
+
+    def test_ranks_leave_no_cyclic_garbage(self):
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            h261_poset(40, intra_interval=12).ranks()
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
