@@ -28,9 +28,10 @@ Commands
     shedding and per-session CLF outcome.  ``--scheduler`` picks the
     bandwidth split (``fair`` or ``priority``), ``--no-shedding`` /
     ``--no-admission`` disable the managed-server arms,
-    ``--fast`` routes the run through the window-batched fast path
-    (bit-for-bit identical results), ``--shards S`` fans the fleet out
-    over ``S`` independent bottleneck shards in worker processes, and
+    ``--fast`` routes a single-host run through the window-batched fast
+    path (bit-for-bit identical results), ``--shards S`` fans the fleet
+    out over ``S`` independent bottleneck shards through the
+    hierarchical fan-out (``repro.serve.hierarchy``), and
     ``--manifest-out FILE`` records a service run manifest.
 ``scenario [--smoke] [--seed S] [--replications R] [--out FILE]``
     Run the regime-switching scenario matrix (Equation-1 tracking lag
@@ -38,8 +39,8 @@ Commands
     ``--out`` writes the run manifest (the committed
     ``manifests/scenario_matrix.json``).  ``scenario emit`` writes an
     example ``ScenarioSpec`` JSON and ``scenario run FILE`` serves the
-    fleet a spec file describes (``--shards``/``--event-loop`` pick the
-    engine).
+    fleet a spec file describes (``--event-loop`` picks the single-host
+    engine, ``--shards S`` fans out through the hierarchy).
 ``obs dump EXPERIMENT [--jobs N] [--replications R] [--out FILE]``
     Run one experiment with metrics enabled and write its JSON run
     manifest (stdout by default).
@@ -186,17 +187,21 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--fast",
         action="store_true",
-        help="use the window-batched fast path (bit-for-bit identical)",
+        help=(
+            "use the window-batched fast path (bit-for-bit identical); "
+            "picks the single-host engine only, --shards always fans out "
+            "through the hierarchy"
+        ),
     )
     serve.add_argument(
         "--shards",
         default="1",
         metavar="S",
         help=(
-            "fan the fleet out over S bottleneck shards (processes); "
-            "'auto' derives S from the usable CPU cores "
-            "(os.process_cpu_count, falling back to os.cpu_count), "
-            "capped by the fleet size"
+            "fan the fleet out over S bottleneck shards through the "
+            "hierarchical fan-out (repro.serve.hierarchy); 'auto' derives "
+            "S from the usable CPU cores (os.process_cpu_count, falling "
+            "back to os.cpu_count), capped by the fleet size"
         ),
     )
     serve.add_argument(
@@ -365,15 +370,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--event-loop",
         action="store_true",
         help="use the per-packet event loop instead of the fast path "
-        "(bit-for-bit identical results)",
+        "(bit-for-bit identical results; single-host runs only)",
     )
     scenario_run.add_argument(
         "--shards",
         type=int,
         default=1,
         metavar="S",
-        help="fan out over S bottleneck shards (LoadSpec-expressible "
-        "scenarios only)",
+        help="fan out over S bottleneck shards through the hierarchical "
+        "fan-out (LoadSpec-expressible scenarios only)",
     )
 
     obs_cmd = commands.add_parser(
@@ -474,6 +479,22 @@ def _cmd_experiments(args: argparse.Namespace, out) -> int:
     return 1 if failures else 0
 
 
+def _labelled_outcomes(result) -> list:
+    """``(label, outcome)`` rows; a sharded run labels ``shard:session``."""
+    from repro.serve import HierarchyResult
+
+    outcomes = result.outcomes
+    if not isinstance(result, HierarchyResult):
+        return [(outcome.request.session_id, outcome) for outcome in outcomes]
+    return [
+        (f"{task.index}:{outcome.request.session_id}", outcome)
+        for task in result.plan.shard_tasks
+        for outcome in outcomes[
+            task.row_offset:task.row_offset + task.spec.sessions
+        ]
+    ]
+
+
 def _cmd_serve(args: argparse.Namespace, out) -> int:
     import time
 
@@ -486,7 +507,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         generate_requests,
         make_scheduler,
         resolve_auto_shards,
-        run_sharded,
+        run_hierarchy,
         serve_sessions,
     )
 
@@ -519,20 +540,14 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     )
     started = time.perf_counter()
     if shards > 1:
-        result = run_sharded(
+        result = run_hierarchy(
             spec,
             args.capacity_mbps * 1e6,
             shards=shards,
             scheduler=args.scheduler,
             shedding=not args.no_shedding,
             admission=not args.no_admission,
-            fast=args.fast,
         )
-        labelled = [
-            (f"{index}:{outcome.request.session_id}", outcome)
-            for index, shard in enumerate(result.shards)
-            for outcome in shard.outcomes
-        ]
     else:
         result = serve_sessions(
             generate_requests(spec),
@@ -542,9 +557,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
             shedding=not args.no_shedding,
             admission=not args.no_admission,
         )
-        labelled = [
-            (outcome.request.session_id, outcome) for outcome in result.outcomes
-        ]
+    labelled = _labelled_outcomes(result)
     wall = time.perf_counter() - started
     rows = []
     for label, outcome in labelled:
@@ -751,16 +764,7 @@ def _cmd_scenario_run(args: argparse.Namespace, out) -> int:
     except ConfigurationError as exc:
         print(str(exc), file=out)
         return 2
-    if args.shards > 1:
-        labelled = [
-            (f"{index}:{outcome.request.session_id}", outcome)
-            for index, shard in enumerate(result.shards)
-            for outcome in shard.outcomes
-        ]
-    else:
-        labelled = [
-            (outcome.request.session_id, outcome) for outcome in result.outcomes
-        ]
+    labelled = _labelled_outcomes(result)
     rows = []
     for label, outcome in labelled:
         session = outcome.result

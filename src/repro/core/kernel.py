@@ -16,7 +16,7 @@ and ``serve.fastpath`` all route window advancement through it.
 
 Tiers
 -----
-Two execution tiers produce bit-for-bit identical results (the
+Three execution tiers produce bit-for-bit identical results (the
 differential suites in ``tests/core`` and ``tests/serve`` pin this on
 both accel backends, with and without NumPy):
 
@@ -79,12 +79,14 @@ also go uncollected while a step runs.
 
 Fleet state
 -----------
-:class:`FleetState` snapshots the numeric per-row columns as a
-struct-of-arrays block that travels through
-:mod:`multiprocessing.shared_memory` (:meth:`FleetState.to_shared` /
-:class:`SharedFleet`), so multi-process servers
-(:class:`repro.serve.fastpath.ShardedService`) can hand fleets across
-processes without pickling per-session objects.
+:class:`FleetState` snapshots the numeric per-row columns
+(:data:`ROW_COLUMNS`) as an immutable struct-of-arrays block — the
+column ABI the native tier is pinned against.  :class:`FleetView` is
+its writable zero-copy twin over a shared-memory segment from
+:func:`new_segment`; the hierarchical fan-out's result arena
+(:mod:`repro.serve.hierarchy`) is built from such views, and
+:func:`audit_segments` / :func:`reap_segments` keep the segments'
+lifecycle recoverable after a crash.
 """
 
 from __future__ import annotations
@@ -136,7 +138,6 @@ __all__ = [
     "FleetView",
     "RowWindow",
     "SessionRow",
-    "SharedFleet",
     "WindowInfo",
     "WindowShape",
     "audit_segments",
@@ -1654,7 +1655,7 @@ def step_fleet(batches: Sequence[FleetBatch], *, tier: Optional[str] = None) -> 
 
 
 # ----------------------------------------------------------------------
-# Columnar fleet state (shared-memory transferable)
+# Columnar fleet state and shared-memory segments
 # ----------------------------------------------------------------------
 
 #: The numeric per-row engine columns :meth:`FleetState.from_rows`
@@ -1773,16 +1774,15 @@ class FleetView:
 
     The mutable twin of :class:`FleetState`: columns are ``'d'``-typed
     memoryview slices of one contiguous buffer (typically a
-    shared-memory segment mapped via :meth:`SharedFleet.map`), laid out
-    column-major at a stride of ``rows`` doubles — the exact layout
-    :meth:`FleetState.to_shared` writes.  Writes land directly in the
-    backing segment; no copies, no pickling.  Call :meth:`close` when
-    done (views must be released before a segment can close).
+    shared-memory segment from :func:`new_segment`), laid out
+    column-major at a stride of ``rows`` doubles.  Writes land directly
+    in the backing segment; no copies, no pickling.  Call :meth:`close`
+    when done (views must be released before a segment can close).
     """
 
-    __slots__ = ("names", "rows", "_mv", "_columns", "_segment")
+    __slots__ = ("names", "rows", "_mv", "_columns")
 
-    def __init__(self, buffer, names: Sequence[str], rows: int, segment=None) -> None:
+    def __init__(self, buffer, names: Sequence[str], rows: int) -> None:
         mv = memoryview(buffer).cast("d")
         if len(mv) < len(names) * rows:
             mv.release()
@@ -1797,7 +1797,6 @@ class FleetView:
             name: mv[position * rows:(position + 1) * rows]
             for position, name in enumerate(self.names)
         }
-        self._segment = segment
 
     def column(self, name: str):
         """The live ``'d'`` memoryview of one column (writable)."""
@@ -1808,21 +1807,12 @@ class FleetView:
         for name, value in values.items():
             self._columns[name][index] = value
 
-    def snapshot(self) -> FleetState:
-        """An immutable :class:`FleetState` copy of the current contents."""
-        return FleetState(
-            {name: list(self._columns[name]) for name in self.names}
-        )
-
     def close(self) -> None:
-        """Release the views (and detach the backing segment, if any)."""
+        """Release the views (the backing buffer stays with its owner)."""
         for view in self._columns.values():
             view.release()
         self._columns = {}
         self._mv.release()
-        if self._segment is not None:
-            self._segment.close()
-            self._segment = None
 
     def __enter__(self) -> "FleetView":
         return self
@@ -1831,78 +1821,13 @@ class FleetView:
         self.close()
 
 
-@dataclass(frozen=True)
-class SharedFleet:
-    """Name + layout of a :class:`FleetState` parked in shared memory.
-
-    The handle is tiny and picklable; the column payload stays in the
-    ``multiprocessing.shared_memory`` segment.  ``open()`` copies the
-    columns back out; call ``unlink()`` exactly once when done.
-    """
-
-    shm_name: str
-    names: Tuple[str, ...]
-    rows: int
-
-    def open(self) -> "FleetState":
-        """Attach, copy the columns out, and detach (no unlink)."""
-        from array import array
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(name=self.shm_name)
-        try:
-            columns: Dict[str, List[float]] = {}
-            stride = 8 * self.rows
-            for position, name in enumerate(self.names):
-                column = array("d")
-                column.frombytes(
-                    bytes(segment.buf[position * stride:(position + 1) * stride])
-                )
-                columns[name] = list(column)
-        finally:
-            segment.close()
-        return FleetState(columns)
-
-    def map(self) -> FleetView:
-        """Attach a writable zero-copy :class:`FleetView` over the segment.
-
-        Unlike :meth:`open` nothing is copied: column reads and writes
-        go straight to the shared pages.  ``close()`` the view when
-        done (it detaches the segment but does not unlink it — the
-        owner still calls :meth:`unlink` exactly once).
-        """
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(name=self.shm_name)
-        try:
-            return FleetView(segment.buf, self.names, self.rows, segment=segment)
-        except Exception:
-            segment.close()
-            raise
-
-    def unlink(self) -> None:
-        """Release the segment (safe to call if it is already gone)."""
-        from multiprocessing import shared_memory
-
-        try:
-            segment = shared_memory.SharedMemory(name=self.shm_name)
-        except FileNotFoundError:
-            return
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            pass
-
-
 class FleetState:
     """Struct-of-arrays numeric state for a fleet of rows.
 
-    Columns are named float64 vectors of equal length.  The block
-    round-trips losslessly through shared memory (float64 is exact
-    under the copy), so a worker process can hand a whole fleet's
-    numeric state — engine columns or outcome summaries — to its parent
-    without pickling any per-session object.
+    Columns are named float64 vectors of equal length, copied in on
+    construction so the state stays immutable.  :meth:`from_rows`
+    snapshots the engine columns of :data:`ROW_COLUMNS`; comparing two
+    snapshots is how the tiers are pinned to one numeric surface.
     """
 
     __slots__ = ("_names", "_columns", "rows")
@@ -1946,41 +1871,6 @@ class FleetState:
                 "ack_seq": [float(row.ack_seq) for row in rows],
             }
         )
-
-    def to_shared(self, *, owner_pid: Optional[int] = None) -> SharedFleet:
-        """Park the columns in a shared-memory segment; returns the handle.
-
-        The segment is deliberately *not* registered for automatic
-        cleanup in this process (a pooled worker would otherwise reap
-        it at exit before the parent attaches); the receiving side owns
-        the lifetime via :meth:`SharedFleet.unlink`.  ``owner_pid``
-        bakes the consuming process into the segment name (see
-        :func:`new_segment`) so a crashed run's leftovers are
-        recognizable — and reapable via :func:`reap_segments` — by any
-        later run.
-        """
-        from array import array
-
-        stride = 8 * self.rows
-        size = max(stride * len(self._names), 1)
-        segment = new_segment(size, owner_pid=owner_pid)
-        try:
-            for position, name in enumerate(self._names):
-                payload = array("d", self._columns[name]).tobytes()
-                segment.buf[position * stride:position * stride + len(payload)] = (
-                    payload
-                )
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(segment._name, "shared_memory")
-            except Exception:
-                pass
-            return SharedFleet(
-                shm_name=segment.name, names=self._names, rows=self.rows
-            )
-        finally:
-            segment.close()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FleetState):

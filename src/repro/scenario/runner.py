@@ -18,6 +18,7 @@ from repro.errors import ConfigurationError
 from repro.scenario.spec import ScenarioSpec
 from repro.serve import loadgen
 from repro.serve.bandwidth import make_scheduler
+from repro.serve.hierarchy import run_hierarchy
 from repro.serve.service import SessionRequest, serve_sessions
 
 #: Session seed lineage (mirrors ``serve.loadgen.generate_requests``).
@@ -40,10 +41,10 @@ def as_load_spec(spec: ScenarioSpec) -> loadgen.LoadSpec:
     Only scenarios whose extras are representable survive the
     translation: independent loss and a ``batch``/``poisson`` arrival
     process.  ``flash`` crowds and ``shared`` (correlated) loss decorate
-    the generated requests after the fact, which the sharded service's
-    internal generator cannot replay — those raise
-    :class:`ConfigurationError` here, and :func:`run_scenario` routes
-    them through the single-host engines instead.
+    the generated requests after the fact, which the hierarchical
+    fan-out's per-shard generator cannot replay — those raise
+    :class:`ConfigurationError` here, so :func:`run_scenario` serves
+    them only with ``shards=1`` (and raises for ``shards>1``).
     """
     if spec.channel.correlation != "independent":
         raise ConfigurationError(
@@ -121,25 +122,23 @@ def run_scenario(
 ):
     """Run one scenario through the serving stack.
 
-    ``shards=1`` serves the fleet in-process (event loop or the
-    window-batched fast path, per ``fast``); ``shards>1`` fans out
-    through :func:`repro.serve.fastpath.run_sharded`, which requires the
-    scenario to be expressible as a plain load spec (see
-    :func:`as_load_spec`).
+    ``shards=1`` serves the fleet in-process on the single-host engine
+    ``fast`` picks (event loop or the window-batched fast path — the
+    results are bit-for-bit identical).  ``shards>1`` fans out through
+    :func:`repro.serve.hierarchy.run_hierarchy` (``jobs`` caps its
+    process pool; ``fast`` does not apply), which requires the scenario
+    to be expressible as a plain load spec (see :func:`as_load_spec`).
     """
     if shards < 1:
         raise ConfigurationError("shards must be positive")
     if shards > 1:
-        from repro.serve.fastpath import run_sharded
-
-        return run_sharded(
+        return run_hierarchy(
             as_load_spec(spec),
             spec.policy.capacity_bps,
             shards=shards,
             scheduler=spec.policy.scheduler,
             shedding=spec.policy.shedding,
             admission=spec.policy.admission,
-            fast=fast,
             jobs=jobs,
         )
     return serve_sessions(

@@ -29,22 +29,16 @@ from repro.serve.admission import (
     AdmissionDecision,
     estimate_demand,
 )
-from repro.serve.fastpath import (
-    FastStreamingService,
-    ShardedResult,
-    ShardedService,
-    resolve_auto_shards,
-    run_sharded,
-    serve_sessions_fast,
-    shard_specs,
-)
+from repro.serve.fastpath import FastStreamingService, serve_sessions_fast
 from repro.serve.hierarchy import (
     HierarchyPlan,
     HierarchyResult,
     ResultArena,
     ShardTask,
     plan_hierarchy,
+    resolve_auto_shards,
     run_hierarchy,
+    shard_specs,
 )
 from repro.serve.bandwidth import (
     FairShareScheduler,
@@ -81,8 +75,6 @@ __all__ = [
     "SessionOutcome",
     "SessionRequest",
     "ShardTask",
-    "ShardedResult",
-    "ShardedService",
     "StreamingService",
     "build_service_manifest",
     "estimate_demand",
@@ -91,7 +83,6 @@ __all__ = [
     "plan_hierarchy",
     "resolve_auto_shards",
     "run_hierarchy",
-    "run_sharded",
     "serve_sessions",
     "serve_sessions_fast",
     "shard_specs",

@@ -510,7 +510,7 @@ def build_service_manifest(
         },
         seed=seed,
         backend=accel.backend_name(),
-        metrics=obs.snapshot() if obs.enabled() else {},
+        metrics=obs.snapshot(),
         wall_seconds=wall_seconds,
         virtual_seconds=None,
         shape_holds=None,

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import os
+from array import array
 
 import pytest
 
+from repro.core import kernel
 from repro.media.gop import GOP_12
 from repro.media.stream import make_video_stream
 from repro.traces.synthetic import calibrated_stream
@@ -38,3 +40,29 @@ def small_mpeg_stream():
 def jurassic_stream():
     """A calibrated Jurassic Park-like stream, 30 GOPs."""
     return calibrated_stream("jurassic_park_corrected", gop_count=30, seed=7)
+
+
+@pytest.fixture(scope="session")
+def shm_round_trip():
+    """Copy a ``FleetState`` through a shared-memory ``FleetView`` and back.
+
+    The segment comes from :func:`repro.core.kernel.new_segment` and is
+    written and read through two separate mappings — the way the
+    hierarchy's result arena is shared — then unlinked.
+    """
+
+    def round_trip(state):
+        segment = kernel.new_segment(max(8 * state.rows * len(state.names), 8))
+        try:
+            with kernel.FleetView(segment.buf, state.names, state.rows) as view:
+                for name in state.names:
+                    view.column(name)[:] = array("d", state.column(name))
+            with kernel.FleetView(segment.buf, state.names, state.rows) as view:
+                return kernel.FleetState(
+                    {name: list(view.column(name)) for name in state.names}
+                )
+        finally:
+            segment.close()
+            segment.unlink()
+
+    return round_trip

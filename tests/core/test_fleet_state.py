@@ -1,16 +1,18 @@
-"""FleetState / SharedFleet at planner scale (K >= 10^4).
+"""FleetState / FleetView over shared memory at planner scale (K >= 10^4).
 
-``test_kernel.py`` pins the shared-memory round trip on a three-row
-fleet; the hierarchical fan-out rides this transport at tens of
-thousands of rows, so this suite pins it at that scale — exact float64
-round-trips, the column order the zero-copy views rely on, and a
-Hypothesis property over the admitted/departed row masks the serving
-layer actually stores in these columns.
+The hierarchical fan-out's result arena is a shared-memory segment
+(:func:`repro.core.kernel.new_segment`) read and written through
+zero-copy :class:`~repro.core.kernel.FleetView` columns at tens of
+thousands of rows, so this suite pins that mapping at that scale —
+exact float64 round-trips, the column order and strides the views rely
+on, and a Hypothesis property over the admitted/departed row masks the
+serving layer actually stores in these columns.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ K = 10_000
 
 
 class TestLargeFleetRoundTrip:
-    def test_round_trip_is_exact_at_ten_thousand_rows(self):
+    def test_round_trip_is_exact_at_ten_thousand_rows(self, shm_round_trip):
         columns = {
             name: [
                 # Awkward float64 values: negatives, tiny magnitudes,
@@ -32,11 +34,7 @@ class TestLargeFleetRoundTrip:
             for offset, name in enumerate(kernel.ROW_COLUMNS)
         }
         state = kernel.FleetState(columns)
-        handle = state.to_shared()
-        try:
-            copied = handle.open()
-        finally:
-            handle.unlink()
+        copied = shm_round_trip(state)
         assert copied == state
         for name in kernel.ROW_COLUMNS:
             assert copied.column(name) == columns[name]
@@ -65,17 +63,23 @@ class TestLargeFleetRoundTrip:
             name: [float(offset * rows + index) for index in range(rows)]
             for offset, name in enumerate(kernel.ROW_COLUMNS)
         }
-        handle = kernel.FleetState(columns).to_shared()
+        # Column-major at a stride of ``rows`` doubles: the arena layout.
+        payload = array(
+            "d", [value for name in kernel.ROW_COLUMNS for value in columns[name]]
+        ).tobytes()
+        segment = kernel.new_segment(len(payload))
         try:
-            with handle.map() as view:
+            segment.buf[:len(payload)] = payload
+            with kernel.FleetView(segment.buf, kernel.ROW_COLUMNS, rows) as view:
                 for name in kernel.ROW_COLUMNS:
                     column = view.column(name)
                     assert column[0] == columns[name][0]
                     assert column[rows - 1] == columns[name][rows - 1]
-                snap = view.snapshot()
+                mapped = {name: list(view.column(name)) for name in view.names}
         finally:
-            handle.unlink()
-        assert snap.as_dict() == columns
+            segment.close()
+            segment.unlink()
+        assert mapped == columns
 
 
 @st.composite
@@ -109,13 +113,9 @@ def masked_fleets(draw):
 class TestMaskProperty:
     @given(columns=masked_fleets())
     @settings(max_examples=50, deadline=None)
-    def test_masks_survive_the_shared_copy(self, columns):
+    def test_masks_survive_the_shared_copy(self, columns, shm_round_trip):
         state = kernel.FleetState(columns)
-        handle = state.to_shared()
-        try:
-            copied = handle.open()
-        finally:
-            handle.unlink()
+        copied = shm_round_trip(state)
         assert copied == state
         # Masks must stay exactly 0.0/1.0 — a transport that nudged one
         # would silently flip a session's admitted/departed status.

@@ -252,24 +252,6 @@ class TestFleetState:
             )
         return rows
 
-    def test_shared_memory_round_trip_is_exact(self, small_stream):
-        rows = self._fleet(small_stream)
-        state = kernel.FleetState.from_rows(rows)
-        handle = state.to_shared()
-        try:
-            copied = handle.open()
-        finally:
-            handle.unlink()
-        assert copied == state
-        assert copied.column("fwd_busy") == [row.fwd_busy for row in rows]
-        assert copied.column("ack_seq") == [float(row.ack_seq) for row in rows]
-
-    def test_unlink_is_idempotent(self, small_stream):
-        state = kernel.FleetState.from_rows(self._fleet(small_stream))
-        handle = state.to_shared()
-        handle.unlink()
-        handle.unlink()  # second release must be a no-op
-
     def test_columns_cover_engine_state(self, small_stream):
         state = kernel.FleetState.from_rows(self._fleet(small_stream))
         assert state.names == kernel.ROW_COLUMNS

@@ -127,7 +127,9 @@ class TestPureBackendFallback:
 
 @pytest.mark.skipif(np is None, reason="needs the NumPy accel backend")
 class TestMixedTierFleetState:
-    def test_mixed_tier_snapshot_round_trips_shared_memory(self, stream):
+    def test_mixed_tier_snapshot_round_trips_shared_memory(
+        self, stream, shm_round_trip
+    ):
         """Rows stepped under different tiers share one column ABI."""
         config = ProtocolConfig(gop_size=4, p_good=0.9, p_bad=0.5)
         windows = list(stream.windows(config.window_frames))[:MAX_WINDOWS]
@@ -165,12 +167,7 @@ class TestMixedTierFleetState:
         # And a *mixed* fleet — half native-stepped, half fused-stepped
         # — survives the shared-memory round trip unchanged.
         mixed = kernel.FleetState.from_rows(native_rows[:3] + fused_rows[3:])
-        handle = mixed.to_shared()
-        try:
-            copied = handle.open()
-        finally:
-            handle.unlink()
-        assert copied == mixed
+        assert shm_round_trip(mixed) == mixed
 
 
 @pytest.mark.skipif(np is None, reason="needs the NumPy accel backend")

@@ -113,10 +113,12 @@ class TestCli:
 
 class TestServeCli:
     def test_serve_shards_auto(self, monkeypatch):
-        import repro.serve.fastpath as fastpath
+        import repro.serve.hierarchy as hierarchy
 
         # Pin the heuristic so the assertion does not depend on the host.
-        monkeypatch.setattr(fastpath.os, "process_cpu_count", lambda: 2, raising=False)
+        monkeypatch.setattr(
+            hierarchy.os, "process_cpu_count", lambda: 2, raising=False
+        )
         out = io.StringIO()
         assert main(
             ["serve", "--sessions", "6", "--shards", "auto", "--fast"], out=out
@@ -124,6 +126,27 @@ class TestServeCli:
         # Two shards of three sessions each, shard-prefixed labels.
         text = out.getvalue()
         assert "0:s00" in text and "1:s00" in text
+
+    def test_serve_shards_manifest_validates(self, tmp_path):
+        import json
+
+        from repro.obs.manifest import validate_manifest
+
+        from repro import obs
+
+        path = tmp_path / "serve.json"
+        out = io.StringIO()
+        try:
+            assert main(
+                ["serve", "--sessions", "4", "--shards", "2", "--gops", "4",
+                 "--manifest-out", str(path)],
+                out=out,
+            ) == 0
+        finally:
+            obs.disable()  # --manifest-out turns metrics on for the process
+        manifest = json.loads(path.read_text())
+        assert validate_manifest(manifest) == []
+        assert manifest["summary"]["plan"]["shards"] == 2
 
     def test_serve_shards_rejects_garbage(self):
         out = io.StringIO()

@@ -5,7 +5,7 @@ Two anchors pin the tentpole:
 * **single phase == stationary** — a one-phase ``channel_phases``
   schedule is *bit-for-bit* the plain ``(p_good, p_bad)`` path, on
   every accel backend, both kernel tiers, the batch engine, both
-  serving engines (event loop and fast path) and the sharded fan-out.
+  serving engines (event loop and fast path) and the hierarchical fan-out.
   Only the config differs, so results are compared with the config
   normalized away.
 * **object engine == kernel** — multi-phase schedules run through
@@ -40,7 +40,8 @@ from repro.scenario import (
     build_requests,
     run_scenario,
 )
-from repro.serve import loadgen, serve_sessions
+from repro.serve import loadgen, serve_sessions, shard_specs
+from repro.serve.hierarchy import run_hierarchy
 
 #: One phase that never ends within any run here — the stationary
 #: special case expressed in the DSL.
@@ -157,6 +158,24 @@ def _outcome_key(outcome):
     )
 
 
+def _lean_key(outcome):
+    """The outcome surface a hierarchical (lean) result still carries."""
+    result = outcome.result
+    return (
+        outcome.request.session_id,
+        outcome.request.priority,
+        outcome.admitted,
+        outcome.reason,
+        outcome.shed_frames,
+        outcome.share_bps,
+        outcome.min_share_bps,
+        outcome.demand_bps,
+        outcome.critical_bps,
+        None if result is None else result.mean_clf,
+        None if result is None else result.stream_clf,
+    )
+
+
 def _stationary_requests(spec: ScenarioSpec):
     """The equivalent plain-loadgen fleet (no channel_phases anywhere)."""
     plain = as_load_spec(spec)
@@ -196,28 +215,30 @@ class TestServingParity:
             o.result for o in slow.outcomes
         ]
 
-    def test_run_sharded_single_phase(self):
-        from repro.serve.fastpath import run_sharded
-
+    def test_sharded_single_phase(self):
+        """``run_scenario(shards=2)`` equals the flat fan-out of the
+        plain stationary load: each shard slice served alone."""
         spec = _scenario(seed=1, sessions=4)
-        expected = run_sharded(
-            replace(as_load_spec(spec), config=ProtocolConfig()),
-            spec.policy.capacity_bps,
-            shards=2,
-        )
+        plain = replace(as_load_spec(spec), config=ProtocolConfig())
+        expected = [
+            outcome
+            for shard in shard_specs(plain, 2)
+            for outcome in serve_sessions(
+                loadgen.generate_requests(shard),
+                spec.policy.capacity_bps,
+                fast=True,
+            ).outcomes
+        ]
         actual = run_scenario(spec, shards=2)
-        for shard_a, shard_e in zip(actual.shards, expected.shards):
-            assert list(map(_outcome_key, shard_a.outcomes)) == list(
-                map(_outcome_key, shard_e.outcomes)
-            )
+        assert list(map(_lean_key, actual.outcomes)) == list(
+            map(_lean_key, expected)
+        )
 
     def test_hierarchy_matches_flat_fanout_multi_phase(self):
         """The hierarchical fan-out inherits phased channels through
         `step_fleet`'s schedule-keyed refill; it must equal the flat
-        sharded fan-out with a real switch in play."""
-        from repro.serve.fastpath import run_sharded
-        from repro.serve.hierarchy import run_hierarchy
-
+        fan-out (each shard slice served alone) with a real switch in
+        play."""
         spec = replace(
             _scenario(seed=2, sessions=6),
             channel=ChannelSpec(
@@ -229,32 +250,21 @@ class TestServingParity:
             policy=PolicySpec(capacity_bps=8_000_000.0),
         )
         load = as_load_spec(spec)
-        flat = run_sharded(load, spec.policy.capacity_bps, shards=2)
+        flat = [
+            outcome
+            for shard in shard_specs(load, 2)
+            for outcome in serve_sessions(
+                loadgen.generate_requests(shard),
+                spec.policy.capacity_bps,
+                fast=True,
+            ).outcomes
+        ]
         tree = run_hierarchy(
             load, spec.policy.capacity_bps, shards=2, workers=2
         )
-        flat_keys = sorted(
-            (
-                o.request.session_id,
-                o.admitted,
-                o.shed_frames,
-                None if o.result is None else o.result.mean_clf,
-                None if o.result is None else o.result.stream_clf,
-            )
-            for shard in flat.shards
-            for o in shard.outcomes
+        assert list(map(_lean_key, tree.outcomes)) == list(
+            map(_lean_key, flat)
         )
-        tree_keys = sorted(
-            (
-                o.request.session_id,
-                o.admitted,
-                o.shed_frames,
-                None if o.result is None else o.result.mean_clf,
-                None if o.result is None else o.result.stream_clf,
-            )
-            for o in tree.outcomes
-        )
-        assert tree_keys == flat_keys
 
     def test_flash_crowd_decoration_only_moves_arrivals(self):
         """Flash arrivals change *when* sessions show up, nothing else."""

@@ -1,10 +1,11 @@
 """Tests for the hierarchical fan-out (repro.serve.hierarchy).
 
 The load-bearing property is bit-for-bit parity: a hierarchy run at
-shard count ``S`` must reproduce ``run_sharded(shards=S)`` — and, via
-that suite's own pins, ``serve_sessions(fast=True)`` and the event-loop
-service — outcome for outcome, on every acceleration backend, for any
-worker count.  Everything else (cost-model planning, the shared-memory
+shard count ``S`` must reproduce the flat fan-out — each
+:func:`shard_specs` slice served alone by ``serve_sessions(fast=True)``
+(and so, via that suite's own pins, by the event-loop service),
+concatenated in shard order — outcome for outcome, on every
+acceleration backend, for any worker count.  Everything else (cost-model planning, the shared-memory
 result arena, the reduced result surface) is tested around that core.
 """
 
@@ -17,15 +18,16 @@ import pytest
 from repro import accel
 from repro.core import kernel
 from repro.errors import ConfigurationError
-from repro.serve import LoadSpec, run_sharded
+from repro.serve import LoadSpec, generate_requests, serve_sessions
 from repro.serve.admission import ADMITTED_REASON
-from repro.serve.fastpath import resolve_auto_shards, shard_specs
 from repro.serve.hierarchy import (
     MAX_SHARD_SESSIONS,
     HierarchyPlan,
     ResultArena,
     plan_hierarchy,
+    resolve_auto_shards,
     run_hierarchy,
+    shard_specs,
 )
 
 #: A fleet under enough pressure that admission rejects, shedding fires
@@ -38,33 +40,18 @@ def _tight_spec() -> LoadSpec:
     return LoadSpec(**TIGHT)
 
 
-def _flat_keys(sharded):
-    keys = []
-    for shard in sharded.shards:
-        for outcome in shard.outcomes:
-            result = outcome.result
-            keys.append(
-                (
-                    outcome.request.session_id,
-                    outcome.request.priority,
-                    outcome.admitted,
-                    outcome.reason,
-                    outcome.shed_frames,
-                    outcome.share_bps,
-                    outcome.min_share_bps,
-                    outcome.demand_bps,
-                    outcome.critical_bps,
-                    result.mean_clf if result else None,
-                    result.stream_clf if result else None,
-                )
-            )
-    return keys
+def _flat_fanout(spec, capacity_bps, shards):
+    """The flat fan-out oracle: every shard slice served on its own."""
+    return [
+        serve_sessions(generate_requests(shard), capacity_bps, fast=True)
+        for shard in shard_specs(spec, shards)
+    ]
 
 
-def _hierarchy_keys(result):
+def _keys(outcomes):
     keys = []
-    for outcome in result.outcomes:
-        lean = outcome.result
+    for outcome in outcomes:
+        result = outcome.result
         keys.append(
             (
                 outcome.request.session_id,
@@ -76,8 +63,8 @@ def _hierarchy_keys(result):
                 outcome.min_share_bps,
                 outcome.demand_bps,
                 outcome.critical_bps,
-                lean.mean_clf if lean else None,
-                lean.stream_clf if lean else None,
+                result.mean_clf if result else None,
+                result.stream_clf if result else None,
             )
         )
     return keys
@@ -143,20 +130,16 @@ class TestParity:
         try:
             for name in accel.available_backends():
                 accel.set_backend(name)
-                flat = run_sharded(
-                    _tight_spec(), TIGHT_CAPACITY, shards=6, jobs=1
-                )
+                flat = _flat_fanout(_tight_spec(), TIGHT_CAPACITY, 6)
                 hier = run_hierarchy(
                     _tight_spec(), TIGHT_CAPACITY, shards=6, jobs=1
                 )
                 assert hier.rejected_count > 0, "scenario must exercise admission"
-                assert _hierarchy_keys(hier) == _flat_keys(flat), (
-                    f"backend {name!r} diverged"
-                )
-                assert hier.admitted_count == sum(
-                    len(s.admitted) for s in flat.shards
-                )
-                assert hier.shed_total == sum(s.shed_total for s in flat.shards)
+                assert _keys(hier.outcomes) == _keys(
+                    [o for shard in flat for o in shard.outcomes]
+                ), f"backend {name!r} diverged"
+                assert hier.admitted_count == sum(len(s.admitted) for s in flat)
+                assert hier.shed_total == sum(s.shed_total for s in flat)
         finally:
             accel.set_backend(previous)
 
@@ -301,26 +284,26 @@ class TestResultSurface:
 
 class TestAutoShards:
     def test_uses_process_cpu_count_when_available(self, monkeypatch):
-        from repro.serve import fastpath
+        from repro.serve import hierarchy
 
         monkeypatch.setattr(
-            fastpath.os, "process_cpu_count", lambda: 6, raising=False
+            hierarchy.os, "process_cpu_count", lambda: 6, raising=False
         )
         assert resolve_auto_shards(100) == 6
         assert resolve_auto_shards(4) == 4  # capped by the fleet
 
     def test_falls_back_to_cpu_count(self, monkeypatch):
-        from repro.serve import fastpath
+        from repro.serve import hierarchy
 
-        monkeypatch.delattr(fastpath.os, "process_cpu_count", raising=False)
-        monkeypatch.setattr(fastpath.os, "cpu_count", lambda: 3)
+        monkeypatch.delattr(hierarchy.os, "process_cpu_count", raising=False)
+        monkeypatch.setattr(hierarchy.os, "cpu_count", lambda: 3)
         assert resolve_auto_shards(100) == 3
 
     def test_never_below_one(self, monkeypatch):
-        from repro.serve import fastpath
+        from repro.serve import hierarchy
 
-        monkeypatch.delattr(fastpath.os, "process_cpu_count", raising=False)
-        monkeypatch.setattr(fastpath.os, "cpu_count", lambda: None)
+        monkeypatch.delattr(hierarchy.os, "process_cpu_count", raising=False)
+        monkeypatch.setattr(hierarchy.os, "cpu_count", lambda: None)
         assert resolve_auto_shards(100) == 1
 
     def test_rejects_empty_fleet(self):

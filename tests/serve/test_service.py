@@ -140,6 +140,19 @@ class TestObservability:
         assert summary["admitted"] == len(result.admitted)
         assert len(summary["per_session"]) == 6
 
+    def test_manifest_validates_with_metrics_off(self):
+        from repro.obs.manifest import validate_manifest
+        from repro.serve import run_hierarchy
+
+        assert not obs.enabled()
+        spec = LoadSpec(sessions=2, seed=5, gop_count=4)
+        for result in (
+            serve_sessions(generate_requests(spec), CAPACITY),
+            run_hierarchy(spec, CAPACITY, shards=2, jobs=1),
+        ):
+            manifest = build_service_manifest(result, seed=5)
+            assert validate_manifest(manifest) == []
+
     def test_describe_mentions_the_split(self):
         result = serve_sessions(fleet(2), CAPACITY)
         text = result.describe()

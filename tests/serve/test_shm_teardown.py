@@ -1,13 +1,13 @@
 """Shared-memory lifecycle under abnormal exits.
 
-The fan-outs ship results through named ``/dev/shm`` segments, which
-the kernel does not reclaim when a process dies — teardown is the
-code's job.  These tests pin the three halves of that contract: a
-worker killed mid-run leaves a segment that :func:`reap_segments`
-recognizes (by its dead baked-in owner) and unlinks; a worker that
-*fails* ships an error marker and the coordinator unlinks every
-sibling segment before re-raising; and a fan-out whose pool dies under
-it sweeps its own pid's segments on the way out.
+The hierarchical fan-out ships results through a named ``/dev/shm``
+result arena, which the kernel does not reclaim when a process dies —
+teardown is the code's job.  These tests pin the three halves of that
+contract: a process killed mid-run leaves a segment that
+:func:`reap_segments` recognizes (by its dead baked-in owner) and
+unlinks; a worker that *fails* ships an error marker and the
+coordinator unlinks the arena before re-raising; and a fan-out whose
+pool dies under it leaves no segment carrying its pid behind.
 """
 
 from __future__ import annotations
@@ -19,15 +19,19 @@ import signal
 import pytest
 
 from repro.core import kernel
-from repro.serve import LoadSpec, run_sharded
-from repro.serve.fastpath import ShardedService
+from repro.serve import LoadSpec, run_hierarchy
 
 
 def _park_segment_and_hang(conn) -> None:
     """Child: park a fleet segment it owns, report the name, then hang."""
-    state = kernel.FleetState({"pos": [1.0, 2.0, 3.0]})
-    handle = state.to_shared(owner_pid=os.getpid())
-    conn.send(handle.shm_name)
+    segment = kernel.new_segment(64, owner_pid=os.getpid())
+    # Keep the child's resource tracker from unlinking the segment on
+    # its own: the leak must stay behind for the reaper to find.
+    from multiprocessing import resource_tracker
+
+    resource_tracker.unregister(segment._name, "shared_memory")
+    conn.send(segment.name)
+    segment.close()
     conn.close()
     signal.pause()
 
@@ -81,9 +85,9 @@ class TestReaping:
 
 class TestCoordinatorTeardown:
     def test_failed_shard_unlinks_every_sibling_segment(self, monkeypatch):
-        import repro.serve.service as service
+        from repro.serve import hierarchy
 
-        real = service.serve_sessions
+        real = hierarchy._plan_shard
         calls = {"n": 0}
 
         def flaky(*args, **kwargs):
@@ -92,30 +96,30 @@ class TestCoordinatorTeardown:
                 raise RuntimeError("shard blew up")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(service, "serve_sessions", flaky)
+        monkeypatch.setattr(hierarchy, "_plan_shard", flaky)
         before = set(kernel.audit_segments())
         spec = LoadSpec(sessions=8, seed=0, gop_count=4, max_windows=2)
         with pytest.raises(RuntimeError, match="shard blew up"):
             # jobs=1 keeps the fan-out in-process, so the monkeypatch
-            # reaches the workers and shard 0's segment really exists
-            # by the time shard 1 fails.
-            run_sharded(spec, 2e6, shards=4, jobs=1, transport="shm")
+            # reaches the worker and shard 0 has already written into
+            # the arena by the time shard 1 fails.
+            run_hierarchy(spec, 2e6, shards=4, jobs=1)
         assert set(kernel.audit_segments()) == before
 
     def test_pool_death_sweeps_own_segments(self, monkeypatch):
-        import repro.serve.fastpath as fastpath
-
-        orphan = kernel.new_segment(64)
-        orphan_name = orphan.name
-        orphan.close()
+        from repro.serve import hierarchy
 
         def dying_pool(fn, tasks, jobs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(fastpath, "parallel_map", dying_pool)
+        monkeypatch.setattr(hierarchy, "parallel_map", dying_pool)
         spec = LoadSpec(sessions=4, seed=0, gop_count=4, max_windows=2)
         with pytest.raises(KeyboardInterrupt):
-            ShardedService(2e6, shards=2).run(spec)
-        # The sweep unlinks every segment carrying the coordinator's own
-        # pid — including the one "a worker parked" before the pool died.
-        assert orphan_name not in kernel.audit_segments()
+            run_hierarchy(spec, 2e6, shards=2)
+        # The arena the coordinator created before the pool died is
+        # gone: no segment carrying the coordinator's pid remains.
+        assert not [
+            name
+            for name in kernel.audit_segments()
+            if f"-{os.getpid()}-" in name
+        ]
