@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-batch bench-serve bench-kernel bench-native bench-hierarchy bench-trend bench-all profile profile-serve profile-kernel profile-native profile-hierarchy experiments examples serve-demo gateway-demo obs-demo obs-guard capacity-plan lint all
+.PHONY: install test bench bench-batch bench-serve bench-kernel bench-hierarchy bench-trend bench-all profile profile-serve profile-kernel profile-hierarchy experiments examples serve-demo gateway-demo obs-demo obs-guard capacity-plan lint all
 
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -23,9 +23,6 @@ bench-serve:
 bench-kernel:
 	$(PYTHON) tools/bench_compare.py --bench-path benchmarks/test_bench_kernel.py --tag kernel
 
-bench-native:
-	$(PYTHON) tools/bench_compare.py --bench-path benchmarks/test_bench_native.py --tag native
-
 bench-hierarchy:
 	$(PYTHON) tools/bench_compare.py --bench-path benchmarks/test_bench_hierarchy.py --tag hierarchy
 
@@ -45,9 +42,6 @@ profile-serve:
 
 profile-kernel:
 	$(PYTHON) tools/profile_hotpath.py --target kernel
-
-profile-native:
-	$(PYTHON) tools/profile_hotpath.py --target kernel --tier native
 
 profile-hierarchy:
 	$(PYTHON) tools/profile_hotpath.py --target hierarchy

@@ -1,11 +1,11 @@
 """Unified kernel at steady state: parity and the 10x gate at K = 256.
 
 Serves the same K = 256 fleet two ways — the event-loop
-:class:`~repro.serve.service.StreamingService` and the fused kernel
-tier behind :mod:`repro.serve.fastpath` — and checks both bit-for-bit
+:class:`~repro.serve.service.StreamingService` and the window-step
+kernel behind :mod:`repro.serve.fastpath` — and checks both bit-for-bit
 parity of every session outcome and the headline claim of the unified
 columnar kernel: at a steady-state fleet width of 256 rows per window
-step, the fused tier is at least 10x faster than event-loop serving on
+step, the kernel is at least 10x faster than event-loop serving on
 the NumPy backend.
 """
 
@@ -19,7 +19,7 @@ from repro.core.protocol import ProtocolConfig
 from repro.serve import LoadSpec, generate_requests, serve_sessions
 
 SESSIONS = 256
-#: Mostly-clean channel: the fused tier's cohort collapse carries the
+#: Mostly-clean channel: the window step's cohort collapse carries the
 #: bulk of the fleet while the Gilbert bad state still exercises the
 #: timeline and scalar fallbacks.
 CONFIG = ProtocolConfig(p_good=0.995, p_bad=0.6)

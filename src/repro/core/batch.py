@@ -22,9 +22,9 @@ kernel shared with the serving fast path:
 * per-window CLF and per-layer bursts are scored from each row's
   received-offsets bitmask, once per distinct mask and plan, and shared
   by every row that hits it;
-* under the kernel's fused tier, rows whose window sees no loss (or no
-  lost anchor) collapse onto a shared first-attempt timeline instead of
-  replaying the scalar sender loop.
+* rows whose window sees no loss (or no lost anchor) collapse onto a
+  shared first-attempt timeline instead of running the per-row sender
+  loop.
 
 The control flow that *depends* on each replication's losses
 (retransmission budgets, Equation-1 feedback folding, ACK fates) is
@@ -33,7 +33,7 @@ sequential engine, so :func:`run_sessions_batch` is pinned bit-for-bit
 against ``R`` sequential :class:`~repro.core.protocol.ProtocolSession`
 runs on identical seeds — same
 :class:`~repro.core.protocol.SessionResult` dataclasses, same floats,
-on either accel backend and either kernel tier.
+on either accel backend.
 """
 
 from __future__ import annotations

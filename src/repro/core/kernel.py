@@ -14,55 +14,32 @@ one entry point — :func:`step_window` — that advances a uniform group
 of rows through one buffer window.  ``run_session``, ``core.batch``
 and ``serve.fastpath`` all route window advancement through it.
 
-Tiers
------
-Three execution tiers produce bit-for-bit identical results (the
-differential suites in ``tests/core`` and ``tests/serve`` pin this on
-both accel backends, with and without NumPy):
+The window step
+---------------
+:func:`step_window` runs one pass per window batch, bit-for-bit equal
+to :class:`~repro.core.protocol.ProtocolSession` (the oracle every
+differential suite in ``tests/core``, ``tests/serve`` and
+``tests/scenario`` compares against, on both accel backends, with and
+without NumPy).  Loss flags are Gilbert-sampled in one stacked
+prefetch; the window's first-attempt serialization timeline — which is
+loss-independent — is computed once per (permutation plan, window) and
+shared by the whole group; rows are then split into three cohorts by
+what their own randomness requires:
 
-``reference``
-    The row engine's original shape: a scalar per-row sender loop,
-    then a receiver pass that scores each row's received-offsets
-    bitmask (decodability, CLF and per-layer bursts are computed once
-    per distinct mask and plan, and shared by the rows that hit it).
+* *full collapse* — rows whose span of loss flags is clean take the
+  shared timeline **and** the shared receiver verdict (arrivals,
+  decodability, CLF, per-layer bursts are all loss-free facts of the
+  schedule);
+* *timeline collapse* — rows with losses but no lost anchor (or
+  retransmissions disabled) reuse the shared timeline and only score
+  their own deliveries;
+* *scalar* — rows that shed, carry link backlog into the window, or
+  must retransmit a lost anchor run the per-row sender loop
+  (:func:`run_row_sender`; retransmission timing is data-dependent).
 
-``fused``
-    A single pass per window batch: loss flags are Gilbert-sampled in
-    one stacked prefetch, the window's first-attempt serialization
-    timeline — which is loss-independent — is computed once per
-    (permutation plan, window) and shared by the whole group, and rows
-    are then dispatched by what their own randomness requires:
-
-    * *full collapse* — rows whose span of loss flags is clean take
-      the shared timeline **and** the shared receiver verdict
-      (arrivals, decodability, CLF, per-layer bursts are all
-      loss-free facts of the schedule);
-    * *timeline collapse* — rows with losses but no lost anchor (or
-      retransmissions disabled) reuse the shared timeline and only
-      score their own deliveries;
-    * *scalar* — rows that shed, carry link backlog into the window,
-      or must retransmit a lost anchor replay the reference sender
-      loop (retransmission timing is data-dependent).
-
-    The tier dispatch counters (``kernel.dispatch.*``,
-    ``kernel.collapse.*``) expose the split.
-
-``native``
-    The compiled tier (:mod:`repro.core.native`): the fused tier's
-    hot loop re-expressed as an array program over the FleetState
-    column ABI — drain/Equation-1 folds, burst bounds, loss masking,
-    CLF scoring and shed accounting run as whole-fleet kernels, JIT
-    compiled via Numba when it is importable and executed as their
-    NumPy twins otherwise.  Without NumPy (the pure backend) it falls
-    back to ``fused`` wholesale, recording the downgrade on the
-    ``kernel.native.fallback`` counter.
-
-Select a tier with :func:`set_tier`, or the ``REPRO_KERNEL``
-environment variable (``reference`` / ``fused`` / ``native`` /
-``auto``; ``auto`` resolves to ``fused``).  Tier choice is orthogonal
-to the accel backend: the fused tier runs — and is parity-tested — on
-the pure backend too; the NumPy backend vectorizes its stacked kernel
-calls.
+The ``kernel.collapse.*`` counters expose the split.  The accel
+backend only changes how the stacked kernel calls run: the NumPy
+backend vectorizes them, the pure backend loops.
 
 Allocation rule
 ---------------
@@ -77,16 +54,13 @@ pause is taken only if the collector was on, and undone in a
 are left as they were.  The collector is process-wide: other threads
 also go uncollected while a step runs.
 
-Fleet state
------------
-:class:`FleetState` snapshots the numeric per-row columns
-(:data:`ROW_COLUMNS`) as an immutable struct-of-arrays block — the
-column ABI the native tier is pinned against.  :class:`FleetView` is
-its writable zero-copy twin over a shared-memory segment from
-:func:`new_segment`; the hierarchical fan-out's result arena
-(:mod:`repro.serve.hierarchy`) is built from such views, and
-:func:`audit_segments` / :func:`reap_segments` keep the segments'
-lifecycle recoverable after a crash.
+Shared-memory segments
+----------------------
+:class:`FleetView` is a writable zero-copy columnar view over a
+shared-memory segment from :func:`new_segment`; the hierarchical
+fan-out's result arena (:mod:`repro.serve.hierarchy`) is built from
+such views, and :func:`audit_segments` / :func:`reap_segments` keep the
+segments' lifecycle recoverable after a crash.
 """
 
 from __future__ import annotations
@@ -124,24 +98,17 @@ from repro.network.packet import fragments_needed
 from repro.poset.builders import independent_poset, ldu_poset
 
 __all__ = [
-    "AUTO",
-    "FUSED",
-    "NATIVE",
-    "REFERENCE",
-    "ENV_TIER",
     "CONTROL_PACKET_BYTES",
     "FEEDBACK_SEED_OFFSET",
     "PREFETCH_SLACK",
     "PREFETCH_WINDOWS",
     "FleetBatch",
-    "FleetState",
     "FleetView",
     "RowWindow",
     "SessionRow",
     "WindowInfo",
     "WindowShape",
     "audit_segments",
-    "available_tiers",
     "drain_acks",
     "loss_run_count",
     "new_segment",
@@ -151,11 +118,9 @@ __all__ = [
     "row_bounds",
     "run_row_sender",
     "send_ack",
-    "set_tier",
     "step_fleet",
     "step_window",
     "tier_name",
-    "writeback_native_rng",
 ]
 
 #: Seed offset of the feedback channel's Gilbert process
@@ -176,57 +141,12 @@ PREFETCH_SLACK = 32
 PREFETCH_WINDOWS = 8
 
 
-# ----------------------------------------------------------------------
-# Tier selection
-# ----------------------------------------------------------------------
-
-REFERENCE = "reference"
-FUSED = "fused"
-NATIVE = "native"
-AUTO = "auto"
-
-#: Environment variable selecting the kernel tier at import time.
-ENV_TIER = "REPRO_KERNEL"
-
-_TIERS = (REFERENCE, FUSED, NATIVE)
-
-
-def available_tiers() -> Tuple[str, ...]:
-    """The execution tiers this kernel ships (all bit-for-bit equal)."""
-    return _TIERS
-
-
-def _resolve(name: str) -> str:
-    normalized = name.strip().lower()
-    if normalized == AUTO or not normalized:
-        return FUSED
-    if normalized not in _TIERS:
-        raise ConfigurationError(
-            f"unknown kernel tier {name!r}; available: {list(_TIERS) + [AUTO]}"
-        )
-    return normalized
-
-
-_active_tier = _resolve(os.environ.get(ENV_TIER, AUTO))
-
-
-def set_tier(name: str) -> str:
-    """Select the active kernel tier.
-
-    ``reference``/``fused``/``native``/``auto`` (``auto`` resolves to
-    ``fused``).  Returns the resolved tier name.  All tiers produce
-    identical results; ``reference`` exists for differential gating and
-    debugging, ``native`` for throughput (it downgrades to ``fused``
-    when its array kernels cannot run).
-    """
-    global _active_tier
-    _active_tier = _resolve(name)
-    return _active_tier
-
-
 def tier_name() -> str:
-    """The tier :func:`step_window` currently dispatches to."""
-    return _active_tier
+    """Name of the one window step :func:`step_window` runs: ``"fused"``.
+
+    Benchmark run contexts record it next to the accel backend.
+    """
+    return "fused"
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +163,7 @@ class WindowShape:
     per row, so they get their own cache keyed by bounds.
     """
 
-    __slots__ = ("transmission", "media", "need_masks", "_plans", "native")
+    __slots__ = ("transmission", "media", "need_masks", "_plans")
 
     def __init__(self, window: Sequence[Ldu], config: ProtocolConfig) -> None:
         media_poset = ldu_poset(window, closed_gops=config.closed_gops)
@@ -264,9 +184,6 @@ class WindowShape:
                 mask |= 1 << dep
             masks.append(mask)
         self.need_masks = masks
-        #: Native-tier shape precompute (column map, mask vectors);
-        #: built lazily by :mod:`repro.core.native`.
-        self.native = None
         self._plans: Dict[
             Tuple[Tuple[Tuple[int, int], ...], bool],
             Tuple[LayeredPlan, Tuple[Tuple[int, ...], ...]],
@@ -352,7 +269,7 @@ class WindowInfo:
             shape = WindowShape(window, config)
             shapes[key] = shape
         self.shape = shape
-        #: Fused-tier cache of shared first-attempt timelines, keyed by
+        #: Cache of shared first-attempt timelines, keyed by
         #: (plan identity, window index).  Plans live in ``shape._plans``
         #: for the life of this info, so their ids are stable.
         self.schedules: Dict[Tuple[int, int], _Schedule] = {}
@@ -383,10 +300,6 @@ class SessionRow:
         "collector",
         "ack_seq",
         "pending",
-        "native_ctl",
-        "native_rng",
-        "native_flags",
-        "__weakref__",
     )
 
     def __init__(self, config: ProtocolConfig, seed: int) -> None:
@@ -416,21 +329,6 @@ class SessionRow:
         self.collector = FeedbackCollector()
         self.ack_seq = 0
         self.pending: List[Tuple[float, Feedback]] = []
-        #: Columnar Equation-1 state owned by the native tier while it
-        #: steps this row (``None`` = the controller objects are truth).
-        self.native_ctl = None
-        #: ``(key, pos, drawn_at)`` while the native tier owns the
-        #: forward loss stream: the MT19937 state of ``fwd_rng`` (same
-        #: generator, same 53-bit doubles) as an int64 key array and
-        #: word index, positioned at absolute draw index ``drawn_at``.
-        #: ``None`` = ``fwd_rng`` is the truth.  See
-        #: :func:`writeback_native_rng`.
-        self.native_rng = None
-        #: NumPy bool mirror of ``flags`` (same indices, same length)
-        #: maintained by the native tier's prefetch so dirty-cohort flag
-        #: matrices slice without list round-trips.  Any scalar-path
-        #: mutation of ``flags`` sets this back to ``None``.
-        self.native_flags = None
 
     def refill(self, count: int, config: ProtocolConfig) -> None:
         """Draw ``count`` more loss flags off the private forward stream.
@@ -440,9 +338,6 @@ class SessionRow:
         run replayed with the carried Gilbert state — exact, because the
         recurrence is per-draw Markov.
         """
-        if self.native_rng is not None:
-            writeback_native_rng(self)
-        self.native_flags = None
         draws = [self.fwd_rng.random() for _ in range(count)]
         if config.channel_phases is None:
             states = accel.gilbert_states(
@@ -482,30 +377,6 @@ class RowWindow:
 # ----------------------------------------------------------------------
 
 
-def writeback_native_rng(row: "SessionRow") -> None:
-    """Fold the native tier's bulk-draw stream back into ``fwd_rng``.
-
-    While the native tier owns a row's forward stream its MT19937 state
-    lives as an int64 key/pos array pair advanced by a compiled kernel
-    — the same generator and 53-bit double recipe as ``random.Random``,
-    so the streams are interchangeable bit for bit.  Any scalar-path
-    draw (:meth:`SessionRow.refill`, a fused-tier prefetch after a tier
-    switch) calls here first so the object stream resumes exactly where
-    the bulk stream stopped.
-    """
-    native = row.native_rng
-    if native is None:
-        return
-    row.native_rng = None
-    key, pos, drawn_at = native
-    if drawn_at != row.fwd_drawn:
-        # Defensive: the handoff marker and the draw counter can only
-        # disagree if fwd_rng advanced without a writeback, in which
-        # case the object stream is already the truth.
-        return
-    row.fwd_rng.setstate((3, tuple(key.tolist()) + (pos,), None))
-
-
 def plan_refills(
     rows: Sequence[SessionRow], needed: int
 ) -> List[Tuple[SessionRow, int, int]]:
@@ -520,7 +391,6 @@ def plan_refills(
         if row.pos:
             del row.flags[: row.pos]
             row.pos = 0
-            row.native_flags = None
         missing = needed - len(row.flags)
         if missing > 0:
             entries.append((row, missing, needed))
@@ -551,9 +421,6 @@ def prefetch_flags(
     """
     if not entries:
         return
-    for row, _, _ in entries:
-        if row.native_rng is not None:
-            writeback_native_rng(row)
     chunk = max(
         max(missing, PREFETCH_WINDOWS * needed)
         for _, missing, needed in entries
@@ -572,7 +439,6 @@ def prefetch_flags(
             if states:
                 row.fwd_bad = bool(states[-1])
             row.flags.extend(states)
-            row.native_flags = None
             row.fwd_drawn += chunk
         return
     cohorts: Dict[int, List[SessionRow]] = {}
@@ -595,7 +461,6 @@ def prefetch_flags(
             offset += take
         for row, bad in zip(rows, bads):
             row.fwd_bad = bad
-            row.native_flags = None
             row.fwd_drawn += chunk
 
 
@@ -672,34 +537,21 @@ def run_row_sender(
     window_index: int,
     window_start: float,
     window_end: float,
-    shed_for=None,
     *,
-    plan: Optional[LayeredPlan] = None,
-    layer_sequences: Optional[Tuple[Tuple[int, ...], ...]] = None,
-    shed: Optional[frozenset] = None,
+    plan: LayeredPlan,
+    layer_sequences: Tuple[Tuple[int, ...], ...],
+    shed: frozenset,
 ) -> RowWindow:
     """One row's sender loop; mirrors ``ProtocolSession.run_window``.
 
-    ``shed_for`` is the row-engine twin of
-    :meth:`ProtocolSession._shed_frames`: an optional
-    ``(row, plan) -> frozenset`` callback naming frame offsets to drop
-    at the sender before they consume air time or channel state.  The
-    serve fast path (:mod:`repro.serve.fastpath`) binds it to the
-    service's shedding policy; plain replication sweeps leave it unset,
-    which keeps this loop byte-identical to its pre-hook behaviour.
-
-    The fused tier passes ``plan``/``layer_sequences``/``shed`` it
-    already computed (and has already drained this row's ACKs); the
-    prologue is then skipped so per-row side effects — the shed
-    policy's bookkeeping in particular — happen exactly once.
+    :func:`step_window` has already drained this row's ACKs and passes
+    the ``plan``/``layer_sequences`` it picked and the ``shed`` frame
+    offsets its ``shed_for`` hook returned (the row-engine twin of
+    :meth:`ProtocolSession._shed_frames`), so per-row side effects — the
+    shed policy's bookkeeping in particular — happen exactly once.
+    Shed frames are dropped before they consume air time or channel
+    state.
     """
-    if plan is None:
-        drain_acks(row, window_start)
-        bounds = row_bounds(row, config, info.shape)
-        plan, layer_sequences = info.shape.plan_for(bounds, config.scramble)
-        shed = shed_for(row, plan) if shed_for is not None else frozenset()
-    assert layer_sequences is not None and shed is not None
-
     frag_counts = info.frag_counts
     frag_times = info.frag_times
     frame_ser = info.frame_ser
@@ -861,7 +713,7 @@ def send_ack(
     """Mirror of ``ProtocolSession._send_ack`` without packet objects.
 
     ``loss_rates``/``loss_statistics``/``burst_estimates`` let the
-    fused tier pass the values it already derived for a whole collapsed
+    window step pass the values it already derived for a whole collapsed
     cohort (they are pure functions of ``result`` fields shared across
     the cohort, and :class:`Feedback` consumers never mutate them, so
     one dict may back many ACKs).  A fully pre-built ``feedback``
@@ -1069,7 +921,7 @@ def _observe_window(results: Sequence[WindowResult], rows: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# Fused tier: shared first-attempt timelines and cohort collapse
+# The window step: shared first-attempt timelines and cohort collapse
 # ----------------------------------------------------------------------
 
 
@@ -1091,7 +943,6 @@ class _Schedule:
         "sent_count",
         "layer_sizes",
         "clean",
-        "native",
     )
 
     def __init__(
@@ -1126,9 +977,6 @@ class _Schedule:
         self.sent_count = len(attempts)
         self.layer_sizes = {layer.index: layer.size for layer in plan.layers}
         self.clean: Optional[_CleanVerdict] = None
-        #: Native-tier timeline precompute (attempt offsets, arrival
-        #: masks, reduce boundaries); built lazily by ``core.native``.
-        self.native = None
 
 
 class _CleanVerdict:
@@ -1405,7 +1253,7 @@ def _step_fused(
         else:
             # Scalar fallback: shedding, link backlog, short flag
             # buffers or a lost anchor (retransmission timing is
-            # data-dependent) — replay the reference sender loop.
+            # data-dependent) — run the per-row sender loop.
             scalar_rows += 1
             pending.append(
                 (
@@ -1448,52 +1296,6 @@ def _step_fused(
         _observe_window(all_results, len(rows))
 
 
-def _step_reference(
-    rows: Sequence[SessionRow],
-    info: WindowInfo,
-    config: ProtocolConfig,
-    fps: float,
-    window_index: int,
-    control_serialization: Union[float, Callable[[SessionRow], float]],
-    shed_for,
-) -> None:
-    n = info.n
-    cycle = info.cycle
-    window_start = window_index * cycle
-    window_end = window_start + cycle
-    playback_start = window_end + config.rtt / 2.0
-    slot_times = [playback_start + offset / fps for offset in range(n)]
-
-    prefetch_flags(
-        plan_refills(rows, info.first_attempt_packets + PREFETCH_SLACK),
-        config.p_good,
-        config.p_bad,
-        phases=config.channel_phases,
-    )
-
-    pairs = [
-        (
-            row,
-            run_row_sender(
-                row, info, config, window_index, window_start, window_end, shed_for
-            ),
-        )
-        for row in rows
-    ]
-    _receive_and_ack(
-        pairs,
-        info,
-        config,
-        window_index,
-        window_end,
-        playback_start,
-        slot_times,
-        control_serialization,
-    )
-    if obs.enabled():
-        _observe_window([data.result for _, data in pairs], len(rows))
-
-
 @contextmanager
 def _collector_paused() -> Iterator[None]:
     """Turn the garbage collector off for the block, if it was on.
@@ -1522,7 +1324,6 @@ def step_window(
     *,
     control_serialization: Union[float, Callable[[SessionRow], float]],
     shed_for=None,
-    tier: Optional[str] = None,
 ) -> None:
     """Advance a uniform group of rows through one buffer window.
 
@@ -1533,37 +1334,26 @@ def step_window(
     rate.  ``control_serialization`` is the ACK's serialization time —
     a float for fixed-rate fleets, or a ``row -> float`` callable when
     shares differ per row (the serving fast path).  ``shed_for`` is
-    the load-shedding hook (see :func:`run_row_sender`).
+    the load-shedding hook: an optional ``(row, plan) -> frozenset``
+    callback naming frame offsets to drop at the sender.  The serve
+    fast path (:mod:`repro.serve.fastpath`) binds it to the service's
+    shedding policy; replication sweeps leave it unset.
 
     Results accumulate on each row's :class:`SessionResult` exactly as
-    the sequential engine would have produced them, whichever tier runs.
+    the sequential engine would have produced them.
     The garbage collector is paused for the duration of the step (see
     the module's allocation rule).
     """
     if not rows:
         return
-    active = _resolve(tier) if tier is not None else _active_tier
     if obs.enabled():
         obs.counter("kernel.steps").inc()
         obs.counter("kernel.rows").inc(len(rows))
-        obs.counter(f"kernel.dispatch.{active}").inc()
         obs.histogram("kernel.rows_per_window").observe(len(rows))
     with _collector_paused():
-        if active == FUSED:
-            _step_fused(
-                rows, info, config, fps, window_index, control_serialization, shed_for
-            )
-        elif active == NATIVE:
-            # Imported lazily: the native package imports this module.
-            from repro.core.native import step_native
-
-            step_native(
-                rows, info, config, fps, window_index, control_serialization, shed_for
-            )
-        else:
-            _step_reference(
-                rows, info, config, fps, window_index, control_serialization, shed_for
-            )
+        _step_fused(
+            rows, info, config, fps, window_index, control_serialization, shed_for
+        )
 
 
 # ----------------------------------------------------------------------
@@ -1592,7 +1382,7 @@ class FleetBatch:
     shed_for: Optional[Callable[[SessionRow, LayeredPlan], frozenset]] = None
 
 
-def step_fleet(batches: Sequence[FleetBatch], *, tier: Optional[str] = None) -> int:
+def step_fleet(batches: Sequence[FleetBatch]) -> int:
     """Advance a slab of uniform row groups through one window epoch.
 
     The fleet-slab entry point behind the serving fast path and the
@@ -1649,27 +1439,13 @@ def step_fleet(batches: Sequence[FleetBatch], *, tier: Optional[str] = None) -> 
                 batch.window_index,
                 control_serialization=batch.control_serialization,
                 shed_for=batch.shed_for,
-                tier=tier,
             )
         return refill_rows
 
 
 # ----------------------------------------------------------------------
-# Columnar fleet state and shared-memory segments
+# Shared-memory segments and their columnar views
 # ----------------------------------------------------------------------
-
-#: The numeric per-row engine columns :meth:`FleetState.from_rows`
-#: snapshots (booleans and counters are carried as float64).
-ROW_COLUMNS = (
-    "fwd_busy",
-    "fb_busy",
-    "pos",
-    "fwd_bad",
-    "fb_bad",
-    "fwd_drawn",
-    "fb_drawn",
-    "ack_seq",
-)
 
 #: Name prefixes of every shared-memory segment this package creates.
 #: The owner pid is baked into the name (``repro-fleet-<pid>-<token>``)
@@ -1772,8 +1548,7 @@ def reap_segments() -> List[str]:
 class FleetView:
     """Writable zero-copy columnar view over a float64 buffer.
 
-    The mutable twin of :class:`FleetState`: columns are ``'d'``-typed
-    memoryview slices of one contiguous buffer (typically a
+    Columns are ``'d'``-typed memoryview slices of one contiguous buffer (typically a
     shared-memory segment from :func:`new_segment`), laid out
     column-major at a stride of ``rows`` doubles.  Writes land directly
     in the backing segment; no copies, no pickling.  Call :meth:`close`
@@ -1819,60 +1594,3 @@ class FleetView:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class FleetState:
-    """Struct-of-arrays numeric state for a fleet of rows.
-
-    Columns are named float64 vectors of equal length, copied in on
-    construction so the state stays immutable.  :meth:`from_rows`
-    snapshots the engine columns of :data:`ROW_COLUMNS`; comparing two
-    snapshots is how the tiers are pinned to one numeric surface.
-    """
-
-    __slots__ = ("_names", "_columns", "rows")
-
-    def __init__(self, columns: Mapping[str, Sequence[float]]) -> None:
-        names = tuple(columns)
-        if not names:
-            raise ConfigurationError("fleet state needs at least one column")
-        lengths = {len(columns[name]) for name in names}
-        if len(lengths) > 1:
-            raise ConfigurationError(
-                f"fleet columns must share one length, got {sorted(lengths)}"
-            )
-        self._names = names
-        self._columns = {name: [float(v) for v in columns[name]] for name in names}
-        self.rows = lengths.pop()
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return self._names
-
-    def column(self, name: str) -> List[float]:
-        """One column's values (a copy — the state stays immutable)."""
-        return list(self._columns[name])
-
-    def as_dict(self) -> Dict[str, List[float]]:
-        return {name: list(self._columns[name]) for name in self._names}
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[SessionRow]) -> "FleetState":
-        """Snapshot the engine columns of a fleet (see :data:`ROW_COLUMNS`)."""
-        return cls(
-            {
-                "fwd_busy": [row.fwd_busy for row in rows],
-                "fb_busy": [row.fb_busy for row in rows],
-                "pos": [float(row.pos) for row in rows],
-                "fwd_bad": [1.0 if row.fwd_bad else 0.0 for row in rows],
-                "fb_bad": [1.0 if row.fb_bad else 0.0 for row in rows],
-                "fwd_drawn": [float(row.fwd_drawn) for row in rows],
-                "fb_drawn": [float(row.fb_drawn) for row in rows],
-                "ack_seq": [float(row.ack_seq) for row in rows],
-            }
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FleetState):
-            return NotImplemented
-        return self._names == other._names and self._columns == other._columns

@@ -1,20 +1,23 @@
-"""Native-speed kernel tier: compiled window stepping (``REPRO_KERNEL=native``).
+"""Whether the optional Numba JIT is importable in this environment.
 
-The fused tier's hot loop re-expressed as an array program over the
-FleetState column ABI, JIT-compiled via Numba when it is importable and
-executed as exact NumPy twins otherwise.  See :mod:`.step` for the
-stepper and the columnar-state protocol, :mod:`.kernels` for the
-kernel pairs, and DESIGN.md ("Tier ABI") for the column and plan-array
-contract a compiled tier must honor.
-
-Numba is an optional dependency: this package never imports it at the
-top level of the repo, only when the native tier is selected, and every
-downgrade (no numba, no NumPy backend, window too wide for the 63-bit
-received mask) is recorded on the ``kernel.native.fallback`` counter
-with a once-per-process warning.
+The window step (:func:`repro.core.kernel.step_window`) is plain
+Python over the accel backend and never imports Numba; these probes
+only report, for benchmark run contexts, whether a JIT would be
+available.  They look the module up with
+:func:`importlib.util.find_spec` and do not import it.
 """
 
-from repro.core.native.kernels import jit_status, numba_available
-from repro.core.native.step import step_native
+from importlib.util import find_spec
+from typing import Optional
 
-__all__ = ["jit_status", "numba_available", "step_native"]
+__all__ = ["jit_status", "numba_available"]
+
+
+def numba_available() -> bool:
+    """True when the ``numba`` package can be found on ``sys.path``."""
+    return find_spec("numba") is not None
+
+
+def jit_status() -> Optional[str]:
+    """Why no JIT is available (``None`` when ``numba`` can be found)."""
+    return None if numba_available() else "numba not importable"

@@ -26,10 +26,9 @@ The fast path exploits exactly that factorisation:
    :func:`repro.accel.gilbert_states_batch` prefetch across the fleet
    per window, per-window and per-layer CLF scored once per distinct
    received-offsets bitmask, permutation plans shared per window
-   shape, and — under the kernel's fused tier — whole rows collapsed
-   onto shared first-attempt timelines when their losses allow.  Load
-   shedding runs through the same
-   :class:`~repro.serve.shedding.LayeredShedPolicy` via the
+   shape, and whole rows collapsed onto shared first-attempt
+   timelines when their losses allow.  Load shedding runs through the
+   same :class:`~repro.serve.shedding.LayeredShedPolicy` via the
    kernel's ``shed_for`` hook.  Windows whose rows all share one
    (window shape, share) key batch across the whole fleet
    (``serve.fastpath.windows_batched``); windows made dynamic by

@@ -562,7 +562,6 @@ def _run_slab(
     shedding: bool,
     admission: bool,
     rejected: List[Tuple[int, str]],
-    tier: Optional[str] = None,
 ) -> None:
     """Plan, execute and reduce one slab of shards.
 
@@ -596,7 +595,7 @@ def _run_slab(
         for _, execution in live:
             if ordinal < execution.total_windows:
                 batches.extend(execution.batches_for(ordinal))
-        kernel.step_fleet(batches, tier=tier)
+        kernel.step_fleet(batches)
     serve_wall = time.perf_counter() - started
     # The epoch loop is shared across the slab; apportion its wall by
     # each shard's admitted-row share (slab granularity — documented in
@@ -619,7 +618,7 @@ def _run_worker(task):
     other payload is the tiny rejected-reason list — every number went
     through shared memory.
     """
-    chunk, arena, capacity_bps, scheduler_name, shedding, admission, tier = task
+    chunk, arena, capacity_bps, scheduler_name, shedding, admission = task
     try:
         view = arena.map()
         try:
@@ -634,7 +633,6 @@ def _run_worker(task):
                     shedding,
                     admission,
                     rejected,
-                    tier,
                 )
             return ("ok", rejected)
         finally:
@@ -968,13 +966,9 @@ def run_hierarchy(
     arena = ResultArena.create(plan)
     try:
         chunks = _assign(plan.shard_tasks, plan.workers)
-        # The coordinator's resolved kernel tier rides along with each
-        # worker chunk: a spawned worker re-imports the kernel and would
-        # otherwise fall back to its own environment's tier, silently
-        # ignoring a coordinator-side ``set_tier``.
         tasks = [
             (chunk, arena, plan.capacity_bps, plan.scheduler,
-             plan.shedding, plan.admission, kernel.tier_name())
+             plan.shedding, plan.admission)
             for chunk in chunks
         ]
         outputs = parallel_map(

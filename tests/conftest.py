@@ -44,23 +44,24 @@ def jurassic_stream():
 
 @pytest.fixture(scope="session")
 def shm_round_trip():
-    """Copy a ``FleetState`` through a shared-memory ``FleetView`` and back.
+    """Copy ``{name: column}`` through a shared-memory ``FleetView`` and back.
 
     The segment comes from :func:`repro.core.kernel.new_segment` and is
     written and read through two separate mappings — the way the
-    hierarchy's result arena is shared — then unlinked.
+    hierarchy's result arena is shared — then unlinked.  Returns the
+    columns read back as a new ``{name: list}`` dict.
     """
 
-    def round_trip(state):
-        segment = kernel.new_segment(max(8 * state.rows * len(state.names), 8))
+    def round_trip(columns):
+        names = tuple(columns)
+        rows = len(columns[names[0]])
+        segment = kernel.new_segment(max(8 * rows * len(names), 8))
         try:
-            with kernel.FleetView(segment.buf, state.names, state.rows) as view:
-                for name in state.names:
-                    view.column(name)[:] = array("d", state.column(name))
-            with kernel.FleetView(segment.buf, state.names, state.rows) as view:
-                return kernel.FleetState(
-                    {name: list(view.column(name)) for name in state.names}
-                )
+            with kernel.FleetView(segment.buf, names, rows) as view:
+                for name in names:
+                    view.column(name)[:] = array("d", columns[name])
+            with kernel.FleetView(segment.buf, names, rows) as view:
+                return {name: list(view.column(name)) for name in names}
         finally:
             segment.close()
             segment.unlink()

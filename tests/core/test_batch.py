@@ -71,25 +71,17 @@ def _sequential(stream, config, seeds, max_windows):
 
 
 def _assert_batch_matches(stream, config, seeds, max_windows):
-    from repro.core import kernel
-
     previous = accel.backend_name()
-    previous_tier = kernel.tier_name()
     try:
         for name in accel.available_backends():
             accel.set_backend(name)
             expected = _sequential(stream, config, seeds, max_windows)
-            for tier in kernel.available_tiers():
-                kernel.set_tier(tier)
-                batched = run_sessions_batch(
-                    stream, config, seeds=seeds, max_windows=max_windows
-                )
-                assert batched == expected, (
-                    f"backend {name!r} tier {tier!r} diverged"
-                )
+            batched = run_sessions_batch(
+                stream, config, seeds=seeds, max_windows=max_windows
+            )
+            assert batched == expected, f"backend {name!r} diverged"
     finally:
         accel.set_backend(previous)
-        kernel.set_tier(previous_tier)
 
 
 class TestBatchSequentialParity:

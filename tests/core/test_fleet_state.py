@@ -1,4 +1,4 @@
-"""FleetState / FleetView over shared memory at planner scale (K >= 10^4).
+"""FleetView over shared memory at planner scale (K >= 10^4).
 
 The hierarchical fan-out's result arena is a shared-memory segment
 (:func:`repro.core.kernel.new_segment`) read and written through
@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernel
+from repro.serve.hierarchy import SESSION_COLUMNS
 
 K = 10_000
 
@@ -31,47 +32,46 @@ class TestLargeFleetRoundTrip:
                 (index * 0.1 + offset) * (-1.0 if index % 7 == 0 else 1.0) / 3.0
                 for index in range(K)
             ]
-            for offset, name in enumerate(kernel.ROW_COLUMNS)
+            for offset, name in enumerate(SESSION_COLUMNS)
         }
-        state = kernel.FleetState(columns)
-        copied = shm_round_trip(state)
-        assert copied == state
-        for name in kernel.ROW_COLUMNS:
-            assert copied.column(name) == columns[name]
+        assert shm_round_trip(columns) == columns
 
     def test_column_order_is_pinned(self):
-        # The zero-copy views address columns by position in this exact
-        # order; reordering it silently corrupts every mapped fleet.
-        assert kernel.ROW_COLUMNS == (
-            "fwd_busy",
-            "fb_busy",
-            "pos",
-            "fwd_bad",
-            "fb_bad",
-            "fwd_drawn",
-            "fb_drawn",
-            "ack_seq",
-        )
-        state = kernel.FleetState(
-            {name: [float(i)] for i, name in enumerate(kernel.ROW_COLUMNS)}
-        )
-        assert state.names == kernel.ROW_COLUMNS
+        # The zero-copy views address columns by their position in the
+        # names tuple; a view that reordered them would silently corrupt
+        # every mapped fleet.
+        rows = 3
+        segment = kernel.new_segment(8 * rows * len(SESSION_COLUMNS))
+        try:
+            with kernel.FleetView(segment.buf, SESSION_COLUMNS, rows) as view:
+                assert view.names == SESSION_COLUMNS
+                for position, name in enumerate(SESSION_COLUMNS):
+                    view.column(name)[:] = array("d", [float(position)] * rows)
+            raw = array("d", bytes(segment.buf[: 8 * rows * len(SESSION_COLUMNS)]))
+        finally:
+            segment.close()
+            segment.unlink()
+        assert list(raw) == [
+            float(position)
+            for position in range(len(SESSION_COLUMNS))
+            for _ in range(rows)
+        ]
 
     def test_view_strides_match_state_layout(self):
         rows = 4096
         columns = {
             name: [float(offset * rows + index) for index in range(rows)]
-            for offset, name in enumerate(kernel.ROW_COLUMNS)
+            for offset, name in enumerate(SESSION_COLUMNS)
         }
         # Column-major at a stride of ``rows`` doubles: the arena layout.
         payload = array(
-            "d", [value for name in kernel.ROW_COLUMNS for value in columns[name]]
+            "d", [value for name in SESSION_COLUMNS for value in columns[name]]
         ).tobytes()
         segment = kernel.new_segment(len(payload))
         try:
             segment.buf[:len(payload)] = payload
-            with kernel.FleetView(segment.buf, kernel.ROW_COLUMNS, rows) as view:
-                for name in kernel.ROW_COLUMNS:
+            with kernel.FleetView(segment.buf, SESSION_COLUMNS, rows) as view:
+                for name in SESSION_COLUMNS:
                     column = view.column(name)
                     assert column[0] == columns[name][0]
                     assert column[rows - 1] == columns[name][rows - 1]
@@ -114,15 +114,10 @@ class TestMaskProperty:
     @given(columns=masked_fleets())
     @settings(max_examples=50, deadline=None)
     def test_masks_survive_the_shared_copy(self, columns, shm_round_trip):
-        state = kernel.FleetState(columns)
-        copied = shm_round_trip(state)
-        assert copied == state
+        copied = shm_round_trip(columns)
+        assert copied == columns
         # Masks must stay exactly 0.0/1.0 — a transport that nudged one
         # would silently flip a session's admitted/departed status.
         for name in ("admitted", "departed"):
-            assert set(copied.column(name)) <= {0.0, 1.0}
-            assert copied.column(name) == columns[name]
-        assert all(
-            math.isfinite(value) for value in copied.column("share_bps")
-        )
-        assert copied.column("share_bps") == columns["share_bps"]
+            assert set(copied[name]) <= {0.0, 1.0}
+        assert all(math.isfinite(value) for value in copied["share_bps"])

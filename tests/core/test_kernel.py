@@ -2,20 +2,16 @@
 
 The kernel is the single engine behind ``run_session``,
 ``core.batch`` and ``serve.fastpath``; its contract is bit-for-bit
-equality with the object engine on every tier and accel backend.  The
+equality with the object engine on every accel backend.  The
 properties here drive :func:`repro.core.kernel.step_window` directly —
 one step must equal one :class:`ProtocolSession` window — including the
-degenerate rows the fused tier must not collapse incorrectly: zero
+degenerate rows the step must not collapse incorrectly: zero
 effective share and boundary-exact admission budgets.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +20,6 @@ from hypothesis import strategies as st
 from repro import accel
 from repro.core import kernel
 from repro.core.protocol import ProtocolConfig, ProtocolSession
-from repro.errors import ConfigurationError
 from repro.media.gop import GopPattern
 from repro.media.ldu import FrameType, Ldu
 from repro.media.stream import MediaStream, make_video_stream
@@ -35,13 +30,6 @@ SMALL_PATTERN = GopPattern.parse("IBBP")
 @pytest.fixture(scope="module")
 def small_stream():
     return make_video_stream(SMALL_PATTERN, gop_count=6)
-
-
-@pytest.fixture(autouse=True)
-def _restore_tier():
-    previous = kernel.tier_name()
-    yield
-    kernel.set_tier(previous)
 
 
 @st.composite
@@ -63,7 +51,7 @@ def kernel_configs(draw):
     )
 
 
-def _drive_kernel(stream, config, max_windows, tier=None):
+def _drive_kernel(stream, config, max_windows):
     """Step one row through ``max_windows`` via the public kernel API."""
     windows = list(stream.windows(config.window_frames))[:max_windows]
     shapes = {}
@@ -81,7 +69,6 @@ def _drive_kernel(stream, config, max_windows, tier=None):
             stream.fps,
             index,
             control_serialization=control,
-            tier=tier,
         )
     return row.result
 
@@ -91,9 +78,7 @@ class TestStepWindowParity:
     @settings(max_examples=25, deadline=None)
     def test_steps_equal_session_windows(self, small_stream, config):
         expected = ProtocolSession(small_stream, config).run(max_windows=3)
-        for tier in kernel.available_tiers():
-            actual = _drive_kernel(small_stream, config, 3, tier=tier)
-            assert actual == expected, f"tier {tier!r} diverged"
+        assert _drive_kernel(small_stream, config, 3) == expected
 
     def test_parity_on_every_backend(self, small_stream):
         config = ProtocolConfig(gop_size=4, seed=11)
@@ -104,11 +89,8 @@ class TestStepWindowParity:
                 expected = ProtocolSession(small_stream, config).run(
                     max_windows=3
                 )
-                for tier in kernel.available_tiers():
-                    actual = _drive_kernel(small_stream, config, 3, tier=tier)
-                    assert actual == expected, (
-                        f"backend {name!r} tier {tier!r} diverged"
-                    )
+                actual = _drive_kernel(small_stream, config, 3)
+                assert actual == expected, f"backend {name!r} diverged"
         finally:
             accel.set_backend(previous)
 
@@ -142,20 +124,19 @@ class TestStepWindowParity:
         """A starved row (1 bps) sheds every frame at the sender."""
         config = ProtocolConfig(gop_size=4, bandwidth_bps=1.0, seed=5)
         expected = ProtocolSession(small_stream, config).run(max_windows=2)
-        for tier in kernel.available_tiers():
-            actual = _drive_kernel(small_stream, config, 2, tier=tier)
-            assert actual == expected
-            assert actual.windows[0].sent == 0
-            assert actual.windows[0].dropped_at_sender == len(
-                actual.windows[0].transmission_order
-            )
+        actual = _drive_kernel(small_stream, config, 2)
+        assert actual == expected
+        assert actual.windows[0].sent == 0
+        assert actual.windows[0].dropped_at_sender == len(
+            actual.windows[0].transmission_order
+        )
 
     def test_boundary_exact_admission(self):
         """Frames whose serialization lands exactly on the window end.
 
         With dyadic frame times (1/32 s at 32 fps) the last frame of
         every window completes exactly at the cycle boundary — the
-        strict ``>`` budget must admit it, on both tiers, and the link
+        strict ``>`` budget must admit it, and the link
         must end the window exactly busy until the boundary.
         """
         frames = 4
@@ -175,12 +156,11 @@ class TestStepWindowParity:
             seed=1,
         )
         expected = ProtocolSession(stream, config).run(max_windows=4)
-        for tier in kernel.available_tiers():
-            actual = _drive_kernel(stream, config, 4, tier=tier)
-            assert actual == expected
-            for window in actual.windows:
-                assert window.sent == frames
-                assert window.dropped_at_sender == 0
+        actual = _drive_kernel(stream, config, 4)
+        assert actual == expected
+        for window in actual.windows:
+            assert window.sent == frames
+            assert window.dropped_at_sender == 0
 
     def test_run_session_routes_through_kernel(self, small_stream):
         from repro.core.protocol import run_session
@@ -193,76 +173,3 @@ class TestStepWindowParity:
 
 def stream_windows(stream, config):
     return stream.windows(config.window_frames)
-
-
-class TestTierSelection:
-    def test_available_tiers(self):
-        assert kernel.REFERENCE in kernel.available_tiers()
-        assert kernel.FUSED in kernel.available_tiers()
-
-    def test_set_tier_resolves_auto_to_fused(self):
-        assert kernel.set_tier(kernel.AUTO) == kernel.FUSED
-        assert kernel.tier_name() == kernel.FUSED
-
-    def test_set_tier_reference(self):
-        assert kernel.set_tier(kernel.REFERENCE) == kernel.REFERENCE
-        assert kernel.tier_name() == kernel.REFERENCE
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ConfigurationError):
-            kernel.set_tier("turbo")
-
-    def test_env_selects_tier_at_import(self):
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        env = dict(os.environ)
-        env["REPRO_KERNEL"] = "reference"
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + env.get("PYTHONPATH", "").split(os.pathsep)
-        ).rstrip(os.pathsep)
-        output = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.core import kernel; print(kernel.tier_name())",
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert output.stdout.strip() == kernel.REFERENCE
-
-
-class TestFleetState:
-    def _fleet(self, small_stream):
-        config = ProtocolConfig(gop_size=4, p_good=0.9, p_bad=0.5, seed=0)
-        windows = list(small_stream.windows(config.window_frames))[:2]
-        shapes = {}
-        control = kernel.CONTROL_PACKET_BYTES * 8.0 / config.bandwidth_bps
-        rows = [kernel.SessionRow(config, seed) for seed in (1, 2, 3)]
-        for index, window in enumerate(windows):
-            info = kernel.WindowInfo(window, config, small_stream.fps, shapes)
-            kernel.step_window(
-                rows,
-                info,
-                config,
-                small_stream.fps,
-                index,
-                control_serialization=control,
-            )
-        return rows
-
-    def test_columns_cover_engine_state(self, small_stream):
-        state = kernel.FleetState.from_rows(self._fleet(small_stream))
-        assert state.names == kernel.ROW_COLUMNS
-        as_dict = state.as_dict()
-        assert set(as_dict) == set(kernel.ROW_COLUMNS)
-        assert all(len(column) == state.rows for column in as_dict.values())
-
-    def test_mismatched_column_lengths_rejected(self):
-        with pytest.raises(ConfigurationError):
-            kernel.FleetState({"a": [1.0, 2.0], "b": [1.0]})
-
-    def test_empty_state_rejected(self):
-        with pytest.raises(ConfigurationError):
-            kernel.FleetState({})

@@ -37,11 +37,9 @@ def stream():
 
 
 @pytest.fixture(autouse=True)
-def _restore_tier_and_collector():
-    tier = kernel.tier_name()
+def _restore_collector():
     enabled = gc.isenabled()
     yield
-    kernel.set_tier(tier)
     if enabled:
         gc.enable()
     else:
@@ -86,11 +84,9 @@ def _raising_hook(row, plan):
     raise RuntimeError("shed hook failed")
 
 
-@pytest.mark.parametrize("tier", kernel.available_tiers())
 @pytest.mark.parametrize("step", STEPPERS, ids=lambda f: f.__name__.lstrip("_"))
 class TestCollectorState:
-    def test_enabled_collector_is_paused_then_restored(self, stream, tier, step):
-        kernel.set_tier(tier)
+    def test_enabled_collector_is_paused_then_restored(self, stream, step):
         seen = []
 
         def hook(row, plan):
@@ -102,15 +98,13 @@ class TestCollectorState:
         assert gc.isenabled()
         assert seen and not any(seen)
 
-    def test_restored_when_the_step_raises(self, stream, tier, step):
-        kernel.set_tier(tier)
+    def test_restored_when_the_step_raises(self, stream, step):
         gc.enable()
         with pytest.raises(RuntimeError, match="shed hook failed"):
             step(_batch(stream, shed_for=_raising_hook))
         assert gc.isenabled()
 
-    def test_caller_disabled_collector_stays_off(self, stream, tier, step):
-        kernel.set_tier(tier)
+    def test_caller_disabled_collector_stays_off(self, stream, step):
         gc.disable()
         step(_batch(stream))
         assert not gc.isenabled()
@@ -119,10 +113,8 @@ class TestCollectorState:
         assert not gc.isenabled()
 
 
-@pytest.mark.parametrize("tier", kernel.available_tiers())
-def test_nested_step_window_keeps_the_fleet_pause(stream, tier):
+def test_nested_step_window_keeps_the_fleet_pause(stream):
     """``step_fleet``'s inner ``step_window`` calls must not re-enable it."""
-    kernel.set_tier(tier)
     seen = []
 
     def hook(row, plan):
@@ -175,10 +167,8 @@ def _cyclic_garbage(run, stream, windows: int) -> int:
     return gc.collect()
 
 
-@pytest.mark.parametrize("tier", kernel.available_tiers())
 @pytest.mark.parametrize("run", ENGINES, ids=lambda f: f.__name__.lstrip("_"))
-def test_cyclic_garbage_does_not_grow_with_windows(stream, tier, run):
-    kernel.set_tier(tier)
+def test_cyclic_garbage_does_not_grow_with_windows(stream, run):
     # Warm every process-wide cache (plans, permutations, demand
     # probes) at both lengths first: a first-time cache store may
     # allocate a bounded amount of cyclic garbage of its own.
@@ -199,7 +189,7 @@ def test_mid_window_refill_matches_the_session_oracle():
 
     1 KiB packets and long bad-state bursts force anchor retransmissions
     past ``PREFETCH_SLACK`` flags, so the scalar sender must refill its
-    flag buffer mid-window; every tier must still equal the oracle.
+    flag buffer mid-window; every backend must still equal the oracle.
     """
     movie = calibrated_stream("jurassic_park_corrected", gop_count=12, seed=7)
     config = ProtocolConfig(
@@ -214,18 +204,14 @@ def test_mid_window_refill_matches_the_session_oracle():
                 ProtocolSession(movie, replace(config, seed=seed)).run(max_windows=5)
                 for seed in seeds
             ]
-            for tier in kernel.available_tiers():
-                kernel.set_tier(tier)
-                registry = obs.enable()
-                obs.reset()
-                try:
-                    actual = run_sessions_batch(
-                        movie, config, seeds=seeds, max_windows=5
-                    )
-                    counters = registry.snapshot()["counters"]
-                finally:
-                    obs.disable()
-                assert counters.get("batch.refills", 0) > 0, (backend, tier)
-                assert actual == expected, (backend, tier)
+            registry = obs.enable()
+            obs.reset()
+            try:
+                actual = run_sessions_batch(movie, config, seeds=seeds, max_windows=5)
+                counters = registry.snapshot()["counters"]
+            finally:
+                obs.disable()
+            assert counters.get("batch.refills", 0) > 0, backend
+            assert actual == expected, backend
     finally:
         accel.set_backend(previous)

@@ -1,11 +1,10 @@
-"""Kernel observability: dispatch, cohort collapse and batch width.
+"""Kernel observability: step counts, cohort collapse and batch width.
 
 Satellite contract of the unified window-step kernel: every step
 reports how many rows it carried (``kernel.steps`` / ``kernel.rows`` /
-the ``kernel.rows_per_window`` histogram), which tier executed it
-(``kernel.dispatch.<tier>``), and — under the fused tier — how the
-cohort split between full collapse, shared-timeline collapse and the
-scalar fallback (``kernel.collapse.*``).
+the ``kernel.rows_per_window`` histogram) and how the cohort split
+between full collapse, shared-timeline collapse and the scalar
+fallback (``kernel.collapse.*``).
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.core import kernel
 from repro.core.batch import run_sessions_batch
 from repro.core.protocol import ProtocolConfig
 from repro.media.gop import GopPattern
@@ -36,15 +34,7 @@ def tracked():
     obs.disable()
 
 
-@pytest.fixture(autouse=True)
-def _restore_tier():
-    previous = kernel.tier_name()
-    yield
-    kernel.set_tier(previous)
-
-
-def _counters(registry, stream, config, tier):
-    kernel.set_tier(tier)
+def _counters(registry, stream, config):
     run_sessions_batch(
         stream, config, seeds=list(SEEDS), max_windows=MAX_WINDOWS
     )
@@ -52,27 +42,16 @@ def _counters(registry, stream, config, tier):
 
 
 class TestKernelCounters:
-    def test_steps_rows_and_dispatch_fused(self, tracked, stream):
+    def test_steps_and_rows(self, tracked, stream):
         config = ProtocolConfig(gop_size=4, p_good=0.95, p_bad=0.5)
-        snapshot = _counters(tracked, stream, config, kernel.FUSED)
+        snapshot = _counters(tracked, stream, config)
         counters = snapshot["counters"]
         assert counters["kernel.steps"] == MAX_WINDOWS
         assert counters["kernel.rows"] == MAX_WINDOWS * len(SEEDS)
-        assert counters["kernel.dispatch.fused"] == MAX_WINDOWS
-        assert "kernel.dispatch.reference" not in counters
-
-    def test_dispatch_reference(self, tracked, stream):
-        config = ProtocolConfig(gop_size=4)
-        snapshot = _counters(tracked, stream, config, kernel.REFERENCE)
-        counters = snapshot["counters"]
-        assert counters["kernel.dispatch.reference"] == MAX_WINDOWS
-        assert "kernel.dispatch.fused" not in counters
-        # The cohort split is a fused-tier concept.
-        assert "kernel.collapse.full" not in counters
 
     def test_collapse_split_accounts_for_every_row(self, tracked, stream):
         config = ProtocolConfig(gop_size=4, p_good=0.9, p_bad=0.5)
-        counters = _counters(tracked, stream, config, kernel.FUSED)["counters"]
+        counters = _counters(tracked, stream, config)["counters"]
         split = (
             counters.get("kernel.collapse.full", 0)
             + counters.get("kernel.collapse.timeline", 0)
@@ -83,13 +62,13 @@ class TestKernelCounters:
     def test_lossless_fleet_fully_collapses(self, tracked, stream):
         """With no channel losses every row rides the shared verdict."""
         config = ProtocolConfig(gop_size=4, p_good=1.0, p_bad=0.0)
-        counters = _counters(tracked, stream, config, kernel.FUSED)["counters"]
+        counters = _counters(tracked, stream, config)["counters"]
         assert counters["kernel.collapse.full"] == counters["kernel.rows"]
         assert counters.get("kernel.collapse.scalar", 0) == 0
 
     def test_rows_per_window_histogram(self, tracked, stream):
         config = ProtocolConfig(gop_size=4)
-        snapshot = _counters(tracked, stream, config, kernel.FUSED)
+        snapshot = _counters(tracked, stream, config)
         hist = snapshot["histograms"]["kernel.rows_per_window"]
         assert hist["count"] == MAX_WINDOWS
         assert hist["min"] == len(SEEDS)

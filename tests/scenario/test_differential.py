@@ -4,15 +4,15 @@ Two anchors pin the tentpole:
 
 * **single phase == stationary** — a one-phase ``channel_phases``
   schedule is *bit-for-bit* the plain ``(p_good, p_bad)`` path, on
-  every accel backend, both kernel tiers, the batch engine, both
+  every accel backend, the batch engine, both
   serving engines (event loop and fast path) and the hierarchical fan-out.
   Only the config differs, so results are compared with the config
   normalized away.
 * **object engine == kernel** — multi-phase schedules run through
   :class:`~repro.core.protocol.ProtocolSession` (the reference
   :class:`~repro.network.markov.SwitchingGilbertModel` duplex) must
-  equal :func:`repro.core.kernel.step_window` on both tiers and
-  backends, including the fused tier's per-phase-segment prefetch.
+  equal :func:`repro.core.kernel.step_window` on every backend,
+  including the step's per-phase-segment prefetch.
 
 This module must keep passing with NumPy absent, so it never imports
 it.
@@ -53,13 +53,6 @@ def small_stream():
     return make_video_stream(GopPattern.parse("IBBP"), gop_count=6)
 
 
-@pytest.fixture(autouse=True)
-def _restore_tier():
-    previous = kernel.tier_name()
-    yield
-    kernel.set_tier(previous)
-
-
 def _single_phase(config: ProtocolConfig) -> ProtocolConfig:
     """The same channel, spelled as a one-phase schedule."""
     return replace(
@@ -87,17 +80,15 @@ def _each_backend():
 
 class TestSinglePhaseIsStationary:
     @pytest.mark.parametrize("seed", [0, 7, 2000])
-    def test_run_session_every_backend_and_tier(self, small_stream, seed):
+    def test_run_session_every_backend(self, small_stream, seed):
         config = ProtocolConfig(gop_size=4, seed=seed)
         phased = _single_phase(config)
         for backend in _each_backend():
-            for tier in kernel.available_tiers():
-                kernel.set_tier(tier)
-                expected = run_session(small_stream, config, max_windows=3)
-                actual = run_session(small_stream, phased, max_windows=3)
-                assert _strip(actual, expected) == expected, (
-                    f"backend {backend!r} tier {tier!r} diverged"
-                )
+            expected = run_session(small_stream, config, max_windows=3)
+            actual = run_session(small_stream, phased, max_windows=3)
+            assert _strip(actual, expected) == expected, (
+                f"backend {backend!r} diverged"
+            )
 
     def test_batch_engine(self, small_stream):
         config = ProtocolConfig(gop_size=4, p_good=0.9, p_bad=0.5)
@@ -298,7 +289,7 @@ class TestMultiPhaseObjectVsKernel:
     )
 
     @pytest.mark.parametrize("seed", [0, 11, 4242])
-    def test_every_backend_and_tier(self, small_stream, seed):
+    def test_every_backend(self, small_stream, seed):
         config = ProtocolConfig(
             gop_size=4, channel_phases=self.PHASES, seed=seed
         )
@@ -306,12 +297,8 @@ class TestMultiPhaseObjectVsKernel:
             expected = ProtocolSession(small_stream, config).run(
                 max_windows=4
             )
-            for tier in kernel.available_tiers():
-                kernel.set_tier(tier)
-                actual = run_session(small_stream, config, max_windows=4)
-                assert actual == expected, (
-                    f"backend {backend!r} tier {tier!r} diverged"
-                )
+            actual = run_session(small_stream, config, max_windows=4)
+            assert actual == expected, f"backend {backend!r} diverged"
 
     def test_mixed_schedule_slab_matches_solo_rows(self):
         """Batches with *different* schedules advancing through one

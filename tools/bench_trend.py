@@ -14,7 +14,8 @@ predecessor: any benchmark whose mean grew by more than ``--threshold``
 (default 0.10 = 10%) is a regression and makes the exit code non-zero,
 so ``make bench-trend`` can gate a landing that quietly slowed a
 family between baseline refreshes.  Families with a single recording
-are shown but cannot regress.
+are shown but cannot regress; a family whose recordings hold no
+benchmarks is listed as such.
 """
 
 from __future__ import annotations
@@ -106,6 +107,9 @@ def main(argv=None) -> int:
         revs = " -> ".join(recording["rev"] for recording in chain)
         print(f"family {label}: {len(chain)} recording(s)  [{revs}]")
         names = sorted({name for recording in chain for name in recording["means"]})
+        if not names:
+            print("  (no benchmarks)\n")
+            continue
         width = max(len(shorten(name)) for name in names)
         for name in names:
             points = [
