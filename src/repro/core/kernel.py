@@ -53,22 +53,12 @@ pause is taken only if the collector was on, and undone in a
 ``finally``, so nested calls and callers that already turned it off
 are left as they were.  The collector is process-wide: other threads
 also go uncollected while a step runs.
-
-Shared-memory segments
-----------------------
-:class:`FleetView` is a writable zero-copy columnar view over a
-shared-memory segment from :func:`new_segment`; the hierarchical
-fan-out's result arena (:mod:`repro.serve.hierarchy`) is built from
-such views, and :func:`audit_segments` / :func:`reap_segments` keep the
-segments' lifecycle recoverable after a crash.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import random
-import secrets
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -77,7 +67,6 @@ from typing import (
     Dict,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -88,7 +77,6 @@ from repro import accel, obs
 from repro.core.adaptation import AdaptiveController
 from repro.core.layered import LayeredPlan, LayeredScheduler
 from repro.core.protocol import ProtocolConfig, SessionResult, WindowResult
-from repro.errors import ConfigurationError
 from repro.media.ldu import Ldu
 from repro.metrics.windows import WindowSeries
 from repro.network.estimation import GilbertEstimator
@@ -103,18 +91,14 @@ __all__ = [
     "PREFETCH_SLACK",
     "PREFETCH_WINDOWS",
     "FleetBatch",
-    "FleetView",
     "RowWindow",
     "SessionRow",
     "WindowInfo",
     "WindowShape",
-    "audit_segments",
     "drain_acks",
     "loss_run_count",
-    "new_segment",
     "plan_refills",
     "prefetch_flags",
-    "reap_segments",
     "row_bounds",
     "run_row_sender",
     "send_ack",
@@ -1441,156 +1425,3 @@ def step_fleet(batches: Sequence[FleetBatch]) -> int:
                 shed_for=batch.shed_for,
             )
         return refill_rows
-
-
-# ----------------------------------------------------------------------
-# Shared-memory segments and their columnar views
-# ----------------------------------------------------------------------
-
-#: Name prefixes of every shared-memory segment this package creates.
-#: The owner pid is baked into the name (``repro-fleet-<pid>-<token>``)
-#: so :func:`reap_segments` can tell a crashed run's leak from a live
-#: run's in-flight segment.
-SEGMENT_PREFIXES = ("repro-fleet", "repro-arena")
-
-_SHM_DIR = "/dev/shm"
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        # Permission (or platform) errors mean the pid slot is taken.
-        return True
-    return True
-
-
-def _segment_owner(name: str) -> Optional[int]:
-    parts = name.split("-")
-    if len(parts) < 4:
-        return None
-    try:
-        return int(parts[2])
-    except ValueError:
-        return None
-
-
-def new_segment(size: int, *, owner_pid: Optional[int] = None, kind: str = "fleet"):
-    """Create a shared-memory segment with a recognizable, owned name.
-
-    ``owner_pid`` names the process responsible for unlinking (default:
-    the caller).  Workers creating segments for their coordinator pass
-    the coordinator's pid, so a segment only ever counts as leaked once
-    the process that was meant to consume it is gone.
-    """
-    from multiprocessing import shared_memory
-
-    owner = os.getpid() if owner_pid is None else owner_pid
-    for _ in range(32):
-        name = f"repro-{kind}-{owner}-{secrets.token_hex(4)}"
-        try:
-            return shared_memory.SharedMemory(create=True, size=size, name=name)
-        except FileExistsError:
-            continue
-    # 32 token collisions in a row cannot happen; keep a safe fallback.
-    return shared_memory.SharedMemory(create=True, size=size)
-
-
-def audit_segments() -> List[str]:
-    """Names of this package's shared-memory segments present on the host.
-
-    Empty on platforms without a ``/dev/shm`` view of the namespace.
-    """
-    try:
-        entries = os.listdir(_SHM_DIR)
-    except OSError:
-        return []
-    return sorted(
-        name
-        for name in entries
-        if any(name.startswith(prefix + "-") for prefix in SEGMENT_PREFIXES)
-    )
-
-
-def reap_segments() -> List[str]:
-    """Unlink segments whose owning process is dead; returns their names.
-
-    The crash-recovery half of the segment lifecycle: normal runs unlink
-    their own segments, but a worker killed mid-run (or a coordinator
-    dying before it decodes) leaves the file behind in ``/dev/shm``.
-    Any later run may call this — segments whose baked-in owner pid is
-    still alive are never touched.
-    """
-    from multiprocessing import shared_memory
-
-    reaped: List[str] = []
-    for name in audit_segments():
-        owner = _segment_owner(name)
-        if owner is None or _pid_alive(owner):
-            continue
-        try:
-            segment = shared_memory.SharedMemory(name=name)
-        except (FileNotFoundError, OSError):
-            continue
-        segment.close()
-        try:
-            segment.unlink()
-        except (FileNotFoundError, OSError):
-            continue
-        reaped.append(name)
-    if reaped and obs.enabled():
-        obs.counter("kernel.segments_reaped").inc(len(reaped))
-    return reaped
-
-
-class FleetView:
-    """Writable zero-copy columnar view over a float64 buffer.
-
-    Columns are ``'d'``-typed memoryview slices of one contiguous buffer (typically a
-    shared-memory segment from :func:`new_segment`), laid out
-    column-major at a stride of ``rows`` doubles.  Writes land directly
-    in the backing segment; no copies, no pickling.  Call :meth:`close`
-    when done (views must be released before a segment can close).
-    """
-
-    __slots__ = ("names", "rows", "_mv", "_columns")
-
-    def __init__(self, buffer, names: Sequence[str], rows: int) -> None:
-        mv = memoryview(buffer).cast("d")
-        if len(mv) < len(names) * rows:
-            mv.release()
-            raise ConfigurationError(
-                f"buffer holds {len(mv)} doubles; "
-                f"{len(names)} columns x {rows} rows need {len(names) * rows}"
-            )
-        self.names = tuple(names)
-        self.rows = rows
-        self._mv = mv
-        self._columns = {
-            name: mv[position * rows:(position + 1) * rows]
-            for position, name in enumerate(self.names)
-        }
-
-    def column(self, name: str):
-        """The live ``'d'`` memoryview of one column (writable)."""
-        return self._columns[name]
-
-    def write_row(self, index: int, values: Mapping[str, float]) -> None:
-        """Write one row's cells across the named columns."""
-        for name, value in values.items():
-            self._columns[name][index] = value
-
-    def close(self) -> None:
-        """Release the views (the backing buffer stays with its owner)."""
-        for view in self._columns.values():
-            view.release()
-        self._columns = {}
-        self._mv.release()
-
-    def __enter__(self) -> "FleetView":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -1,4 +1,4 @@
-"""Hierarchical fan-out: a fleet of fleets behind one result arena.
+"""Hierarchical fan-out: a fleet of fleets, reduced from returned column blocks.
 
 This is the repo's one multi-shard engine: ``repro serve --shards``,
 ``repro scenario run --shards`` and
@@ -31,20 +31,19 @@ two axes:
    row's loss sequence (the parity battery in
    ``tests/serve/test_hierarchy.py`` pins this bit-for-bit against
    ``serve_sessions(fast=True)`` run on each shard's slice).
-3. **Reduce.**  Workers write numeric results straight into a
-   preallocated shared-memory **result arena** — per-session outcome
-   columns, per-(shard, window) CLF/ALF/shed aggregates, per-shard
-   timings — via writable zero-copy views
-   (:class:`repro.core.kernel.FleetView`).  The coordinator maps the
-   same arena and reduces in place: no pickled results, no per-session
-   strings (reasons are reconstructed from
+3. **Reduce.**  :func:`_assign` deals each worker a contiguous run of
+   shards, so a worker owns one contiguous block of every result table
+   — per-session outcome columns, per-(shard, window) CLF/ALF/shed
+   aggregates, per-shard timings.  It fills that block as local float64
+   columns (``array('d')``) and returns it; the coordinator concatenates
+   the blocks in chunk order.  No per-session object or string crosses
+   the process boundary (reasons are reconstructed from
    :data:`~repro.serve.admission.ADMITTED_REASON` plus the tiny
    rejected-reason list each worker returns).
 
-The arena segment carries the coordinator's pid in its name
-(``repro-arena-<pid>-<token>``), is unlinked in a ``finally`` whatever
-the fan-out does, and — should the coordinator itself be SIGKILLed —
-is recognizable garbage for :func:`repro.core.kernel.reap_segments`.
+A worker that raises returns an error marker instead of a block, and
+the coordinator re-raises the first one; the fan-out holds no shared
+state, so there is nothing to tear down.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from array import array
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -72,7 +72,6 @@ __all__ = [
     "TARGET_SHARD_COST",
     "HierarchyPlan",
     "HierarchyResult",
-    "ResultArena",
     "ShardTask",
     "plan_hierarchy",
     "resolve_auto_shards",
@@ -101,12 +100,12 @@ TARGET_SHARD_COST = 128
 MAX_SHARD_SESSIONS = 1024
 
 #: A worker advances its assigned shards in slabs of at most this many
-#: sessions concurrently, reducing each slab into the arena and freeing
-#: it before planning the next — the worker's resident fleet state
-#: stays bounded no matter how many shards it was handed.
+#: sessions concurrently, reducing each slab into its result block and
+#: freeing it before planning the next — the worker's resident fleet
+#: state stays bounded no matter how many shards it was handed.
 SLAB_SESSION_BUDGET = 4096
 
-#: Per-session outcome columns of the result arena, in layout order.
+#: Per-session outcome columns of the result tables, in layout order.
 SESSION_COLUMNS = (
     "admitted",
     "has_result",
@@ -182,7 +181,7 @@ def shard_specs(spec: LoadSpec, shards: int) -> List[LoadSpec]:
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One shard's slice of the fleet: spec + arena row placement."""
+    """One shard's slice of the fleet: spec + fleet-wide row placement."""
 
     index: int
     spec: LoadSpec
@@ -314,137 +313,53 @@ def plan_hierarchy(
 
 
 # ----------------------------------------------------------------------
-# The result arena
+# Workers: many fleets per epoch, results into a returned column block
 # ----------------------------------------------------------------------
 
 
-class _ArenaView:
-    """Writable zero-copy views over the arena's three regions."""
-
-    __slots__ = ("sessions", "windows", "shards", "_mv", "_segment")
-
-    def __init__(self, arena: "ResultArena") -> None:
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(name=arena.shm_name)
-        try:
-            mv = memoryview(segment.buf)
-            session_end = 8 * arena.session_doubles
-            window_end = session_end + 8 * arena.window_doubles
-            shard_end = window_end + 8 * arena.shard_doubles
-            self.sessions = kernel.FleetView(
-                mv[:session_end], SESSION_COLUMNS, arena.rows
-            )
-            self.windows = kernel.FleetView(
-                mv[session_end:window_end],
-                WINDOW_COLUMNS,
-                arena.shards * arena.max_windows,
-            )
-            self.shards = kernel.FleetView(
-                mv[window_end:shard_end], SHARD_COLUMNS, arena.shards
-            )
-            self._mv = mv
-            self._segment = segment
-        except Exception:
-            segment.close()
-            raise
-
-    def close(self) -> None:
-        self.shards.close()
-        self.windows.close()
-        self.sessions.close()
-        self._mv.release()
-        self._segment.close()
-
-    def __enter__(self) -> "_ArenaView":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+def _zeros(names: Sequence[str], length: int) -> Dict[str, array]:
+    """Zero-filled float64 columns, one per name."""
+    return {name: array("d", bytes(8 * length)) for name in names}
 
 
-@dataclass(frozen=True)
-class ResultArena:
-    """Name + layout of one run's shared-memory result arena.
+def _write_row(
+    columns: Dict[str, array], index: int, values: Dict[str, float]
+) -> None:
+    for name, value in values.items():
+        columns[name][index] = value
 
-    Three column-major float64 regions in one segment: per-session
-    outcome columns (:data:`SESSION_COLUMNS` x ``rows``), per-(shard,
-    window-ordinal) aggregates (:data:`WINDOW_COLUMNS` x
-    ``shards * max_windows``, shard ``s``'s ordinal ``w`` at row
-    ``s * max_windows + w``) and per-shard bookkeeping
-    (:data:`SHARD_COLUMNS` x ``shards``).  The handle is tiny and
-    picklable; workers :meth:`map` it and write in place.
+
+class _Block:
+    """One worker's contiguous slice of every result table.
+
+    :func:`_assign` deals each worker a contiguous run of shards, so the
+    worker owns session rows ``[first.row_offset, last.row_offset +
+    last.spec.sessions)``, window slots ``[first.index * W,
+    (last.index + 1) * W)`` and shard rows ``[first.index,
+    last.index + 1)``.  The block holds exactly those ranges as local
+    float64 columns, indexed relative to its ``*_base`` offsets; the
+    coordinator concatenates the blocks in chunk order.
     """
 
-    shm_name: str
-    rows: int
-    shards: int
-    max_windows: int
+    __slots__ = (
+        "row_base", "shard_base", "max_windows", "sessions", "windows", "shards"
+    )
 
-    @property
-    def session_doubles(self) -> int:
-        return len(SESSION_COLUMNS) * self.rows
-
-    @property
-    def window_doubles(self) -> int:
-        return len(WINDOW_COLUMNS) * self.shards * self.max_windows
-
-    @property
-    def shard_doubles(self) -> int:
-        return len(SHARD_COLUMNS) * self.shards
-
-    @property
-    def size_bytes(self) -> int:
-        return 8 * (self.session_doubles + self.window_doubles + self.shard_doubles)
-
-    @classmethod
-    def create(cls, plan: HierarchyPlan) -> "ResultArena":
-        """Allocate (zero-filled) and name the arena for one run.
-
-        The segment stays registered with this process's resource
-        tracker — the coordinator creates and unlinks it, so there is no
-        cross-process ownership hand-off to confuse the tracker, and a
-        hard-killed coordinator still gets its arena unlinked at
-        tracker exit.
-        """
-        arena = cls(
-            shm_name="",
-            rows=plan.sessions,
-            shards=plan.shards,
-            max_windows=plan.windows_per_session,
+    def __init__(self, chunk: Sequence[ShardTask], max_windows: int) -> None:
+        first, last = chunk[0], chunk[-1]
+        shards = last.index + 1 - first.index
+        self.row_base = first.row_offset
+        self.shard_base = first.index
+        self.max_windows = max_windows
+        self.sessions = _zeros(
+            SESSION_COLUMNS, last.row_offset + last.spec.sessions - first.row_offset
         )
-        segment = kernel.new_segment(max(arena.size_bytes, 8), kind="arena")
-        try:
-            return replace(arena, shm_name=segment.name)
-        finally:
-            segment.close()
-
-    def map(self) -> _ArenaView:
-        """Attach writable zero-copy views (close when done; no unlink)."""
-        return _ArenaView(self)
-
-    def unlink(self) -> None:
-        """Release the segment (safe to call if it is already gone)."""
-        from multiprocessing import shared_memory
-
-        try:
-            segment = shared_memory.SharedMemory(name=self.shm_name)
-        except FileNotFoundError:
-            return
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            pass
-
-
-# ----------------------------------------------------------------------
-# Workers: many fleets per epoch, results straight into the arena
-# ----------------------------------------------------------------------
+        self.windows = _zeros(WINDOW_COLUMNS, shards * max_windows)
+        self.shards = _zeros(SHARD_COLUMNS, shards)
 
 
 def _session_row(task: ShardTask, session_id: str) -> int:
-    """Arena row of one shard-local session (load-generator ids)."""
+    """Fleet-wide row of one shard-local session (load-generator ids)."""
     return task.row_offset + int(session_id[1:])
 
 
@@ -464,7 +379,7 @@ def _slabs(tasks: Sequence[ShardTask]) -> Iterator[List[ShardTask]]:
 
 def _plan_shard(
     task: ShardTask,
-    view: _ArenaView,
+    block: _Block,
     capacity_bps: float,
     scheduler_name: str,
     shedding: bool,
@@ -476,7 +391,7 @@ def _plan_shard(
     Returns the shard's admitted fleet (``None`` when everything was
     rejected) and its admitted count.  Rejection reasons — the only
     non-numeric outcome data — are collected into ``rejected`` as
-    ``(arena_row, reason)`` pairs; admitted reasons need no transport
+    ``(fleet_row, reason)`` pairs; admitted reasons need no transport
     (they are all :data:`~repro.serve.admission.ADMITTED_REASON`).
     """
     from repro.serve.bandwidth import make_scheduler
@@ -489,13 +404,13 @@ def _plan_shard(
     )
     planner.submit_all(generate_requests(task.spec))
     result = planner.run()
-    sessions = view.sessions
     plans = []
     admitted = 0
     for outcome in result.outcomes:
         row = _session_row(task, outcome.request.session_id)
-        sessions.write_row(
-            row,
+        _write_row(
+            block.sessions,
+            row - block.row_base,
             {
                 "admitted": 1.0 if outcome.admitted else 0.0,
                 "priority": float(outcome.request.priority),
@@ -513,28 +428,27 @@ def _plan_shard(
     return execution, admitted
 
 
-def _reduce_shard(
-    task: ShardTask, execution: _FleetExecution, view: _ArenaView, max_windows: int
-) -> None:
-    """Fold one finished fleet's results into the arena, then drop it.
+def _reduce_shard(task: ShardTask, execution: _FleetExecution, block: _Block) -> None:
+    """Fold one finished fleet's results into the block, then drop it.
 
     The lean twin of :meth:`_FleetExecution.finalize`: the same numbers
     land in the session columns, but nothing is written back onto
     outcome objects and no per-session observability fires — at
     K = 10^5 that would be the hot path.
     """
-    sessions = view.sessions
-    clf_sum = view.windows.column("clf_sum")
-    alf_sum = view.windows.column("alf_sum")
-    shed_col = view.windows.column("shed_frames")
-    frames_col = view.windows.column("frames")
-    rows_col = view.windows.column("rows")
-    base = task.index * max_windows
+    windows = block.windows
+    clf_sum = windows["clf_sum"]
+    alf_sum = windows["alf_sum"]
+    shed_col = windows["shed_frames"]
+    frames_col = windows["frames"]
+    rows_col = windows["rows"]
+    base = (task.index - block.shard_base) * block.max_windows
     for fleet_row in execution.rows:
         outcome = fleet_row.plan.outcome
         result = fleet_row.result
-        sessions.write_row(
-            _session_row(task, outcome.request.session_id),
+        _write_row(
+            block.sessions,
+            _session_row(task, outcome.request.session_id) - block.row_base,
             {
                 "has_result": 1.0,
                 "mean_clf": result.mean_clf,
@@ -555,8 +469,7 @@ def _reduce_shard(
 
 def _run_slab(
     slab: List[ShardTask],
-    view: _ArenaView,
-    arena: ResultArena,
+    block: _Block,
     capacity_bps: float,
     scheduler_name: str,
     shedding: bool,
@@ -571,15 +484,16 @@ def _run_slab(
     off private streams, so the interleaving is invisible to any single
     session's results.
     """
-    meta = view.shards
+    meta = block.shards
     live: List[Tuple[ShardTask, _FleetExecution]] = []
     for task in slab:
         started = time.perf_counter()
         execution, admitted = _plan_shard(
-            task, view, capacity_bps, scheduler_name, shedding, admission, rejected
+            task, block, capacity_bps, scheduler_name, shedding, admission, rejected
         )
-        meta.write_row(
-            task.index,
+        _write_row(
+            meta,
+            task.index - block.shard_base,
             {
                 "plan_seconds": time.perf_counter() - started,
                 "sessions": float(task.spec.sessions),
@@ -601,42 +515,33 @@ def _run_slab(
     # each shard's admitted-row share (slab granularity — documented in
     # DESIGN.md — so per-shard serve times sum to the true slab wall).
     total_rows = sum(len(execution.rows) for _, execution in live) or 1
-    serve_col = meta.column("serve_seconds")
-    reduce_col = meta.column("reduce_seconds")
+    serve_col = meta["serve_seconds"]
+    reduce_col = meta["reduce_seconds"]
     for task, execution in live:
-        serve_col[task.index] = serve_wall * len(execution.rows) / total_rows
+        shard = task.index - block.shard_base
+        serve_col[shard] = serve_wall * len(execution.rows) / total_rows
         started = time.perf_counter()
-        _reduce_shard(task, execution, view, arena.max_windows)
-        reduce_col[task.index] = time.perf_counter() - started
+        _reduce_shard(task, execution, block)
+        reduce_col[shard] = time.perf_counter() - started
 
 
 def _run_worker(task):
-    """Worker: serve a chunk of shards into the arena (picklable).
+    """Worker: serve a chunk of shards, return its column block (picklable).
 
-    Exceptions travel home as ``("error", exc)`` markers so the pool
-    survives and the coordinator can still unlink the arena; the only
-    other payload is the tiny rejected-reason list — every number went
-    through shared memory.
+    Returns ``("ok", (rejected, session_cols, window_cols, shard_cols))``
+    — the rejected-reason pairs plus the block's ``{name: array('d')}``
+    columns.  Exceptions travel home as ``("error", exc)`` markers so the
+    pool survives and the coordinator re-raises the first one.
     """
-    chunk, arena, capacity_bps, scheduler_name, shedding, admission = task
+    chunk, capacity_bps, scheduler_name, shedding, admission, max_windows = task
     try:
-        view = arena.map()
-        try:
-            rejected: List[Tuple[int, str]] = []
-            for slab in _slabs(chunk):
-                _run_slab(
-                    slab,
-                    view,
-                    arena,
-                    capacity_bps,
-                    scheduler_name,
-                    shedding,
-                    admission,
-                    rejected,
-                )
-            return ("ok", rejected)
-        finally:
-            view.close()
+        block = _Block(chunk, max_windows)
+        rejected: List[Tuple[int, str]] = []
+        for slab in _slabs(chunk):
+            _run_slab(
+                slab, block, capacity_bps, scheduler_name, shedding, admission, rejected
+            )
+        return ("ok", (rejected, block.sessions, block.windows, block.shards))
     except Exception as exc:
         return ("error", exc)
 
@@ -645,8 +550,8 @@ def _assign(tasks: Sequence[ShardTask], workers: int) -> List[List[ShardTask]]:
     """Contiguous near-equal shard chunks, one per worker.
 
     Shard sizes differ by at most one session, so equal shard counts
-    are equal work; contiguity keeps each worker's arena writes in a
-    dense row range (friendly to the shared pages).
+    are equal work; contiguity gives each worker one dense block of
+    every result table (:class:`_Block`).
     """
     workers = max(1, min(workers, len(tasks)))
     base, extra = divmod(len(tasks), workers)
@@ -692,8 +597,8 @@ class _LeanResult:
 class HierarchyResult:
     """Reduced outcome of one hierarchical run.
 
-    Holds the arena's numeric columns (copied out once, before the
-    segment was unlinked) plus the rejected-reason map; duck-types
+    Holds the numeric result columns (the workers' blocks, concatenated
+    in shard order) plus the rejected-reason map; duck-types
     enough of :class:`~repro.serve.service.ServiceResult` for manifests
     and the CLI (``outcomes`` rebuilds lean outcome objects lazily —
     summaries never need them).
@@ -707,6 +612,7 @@ class HierarchyResult:
         shard_stats: Dict[str, List[float]],
         rejected_reasons: Dict[int, str],
         wall_seconds: float,
+        processes: int,
     ) -> None:
         self.plan = plan
         self.columns = columns
@@ -714,6 +620,8 @@ class HierarchyResult:
         self.shard_stats = shard_stats
         self.rejected_reasons = rejected_reasons
         self.wall_seconds = wall_seconds
+        #: Worker processes that actually ran (1 when in-process).
+        self.processes = processes
         self._outcomes: Optional[List[SessionOutcome]] = None
 
     # -- ServiceResult surface -----------------------------------------
@@ -909,7 +817,11 @@ class HierarchyResult:
         }
 
     def performance_dict(self) -> Dict[str, object]:
-        """Wall-clock split (coordinator vs worker phases); not seeded."""
+        """Wall-clock split (coordinator vs worker phases); not seeded.
+
+        ``coordinator_seconds`` is the wall left once the summed worker
+        time is spread over the processes that actually ran it.
+        """
         plan_s = sum(self.shard_stats["plan_seconds"])
         serve_s = sum(self.shard_stats["serve_seconds"])
         reduce_s = sum(self.shard_stats["reduce_seconds"])
@@ -922,7 +834,7 @@ class HierarchyResult:
             "coordinator_seconds": max(
                 0.0,
                 self.wall_seconds
-                - (plan_s + serve_s + reduce_s) / max(1, self.plan.workers),
+                - (plan_s + serve_s + reduce_s) / self.processes,
             ),
         }
 
@@ -944,8 +856,8 @@ def run_hierarchy(
     ``spec`` is a :class:`~repro.serve.loadgen.LoadSpec` (planned here
     via :func:`plan_hierarchy`) or an already-built
     :class:`HierarchyPlan`.  ``jobs`` caps the process pool (default:
-    the plan's worker count); the outcome is independent of it.  The
-    arena is unlinked on every exit path.
+    the plan's worker count); the outcome is independent of it.  A
+    worker's exception is re-raised here.
     """
     if isinstance(spec, HierarchyPlan):
         plan = spec
@@ -963,36 +875,27 @@ def run_hierarchy(
             admission=admission,
         )
     started = time.perf_counter()
-    arena = ResultArena.create(plan)
-    try:
-        chunks = _assign(plan.shard_tasks, plan.workers)
-        tasks = [
-            (chunk, arena, plan.capacity_bps, plan.scheduler,
-             plan.shedding, plan.admission)
-            for chunk in chunks
-        ]
-        outputs = parallel_map(
-            _run_worker, tasks, jobs if jobs is not None else plan.workers
-        )
-        errors = [payload for marker, payload in outputs if marker == "error"]
-        if errors:
-            raise errors[0]
-        rejected_reasons: Dict[int, str] = {}
-        for _, payload in outputs:
-            for row, reason in payload:
-                rejected_reasons[row] = reason
-        with arena.map() as view:
-            columns = {
-                name: list(view.sessions.column(name)) for name in SESSION_COLUMNS
-            }
-            window_totals = {
-                name: list(view.windows.column(name)) for name in WINDOW_COLUMNS
-            }
-            shard_stats = {
-                name: list(view.shards.column(name)) for name in SHARD_COLUMNS
-            }
-    finally:
-        arena.unlink()
+    chunks = _assign(plan.shard_tasks, plan.workers)
+    tasks = [
+        (chunk, plan.capacity_bps, plan.scheduler, plan.shedding,
+         plan.admission, plan.windows_per_session)
+        for chunk in chunks
+    ]
+    pool = jobs if jobs is not None else plan.workers
+    outputs = parallel_map(_run_worker, tasks, pool)
+    errors = [payload for marker, payload in outputs if marker == "error"]
+    if errors:
+        raise errors[0]
+    rejected_reasons: Dict[int, str] = {}
+    columns: Dict[str, List[float]] = {name: [] for name in SESSION_COLUMNS}
+    window_totals: Dict[str, List[float]] = {name: [] for name in WINDOW_COLUMNS}
+    shard_stats: Dict[str, List[float]] = {name: [] for name in SHARD_COLUMNS}
+    tables = (columns, window_totals, shard_stats)
+    for _, (rejected, *blocks) in outputs:
+        rejected_reasons.update(rejected)
+        for table, block in zip(tables, blocks):
+            for name, column in block.items():
+                table[name].extend(column)
     wall = time.perf_counter() - started
     result = HierarchyResult(
         plan=plan,
@@ -1001,6 +904,7 @@ def run_hierarchy(
         shard_stats=shard_stats,
         rejected_reasons=rejected_reasons,
         wall_seconds=wall,
+        processes=max(1, min(pool, len(chunks))),
     )
     if obs.enabled():
         obs.counter("serve.hierarchy.runs").inc()
@@ -1016,8 +920,8 @@ def run_hierarchy(
             )
         occupied = sum(1 for rows in window_totals["rows"] if rows > 0.0)
         slots = len(window_totals["rows"]) or 1
-        obs.gauge("serve.hierarchy.arena_bytes").set(float(arena.size_bytes))
-        obs.gauge("serve.hierarchy.arena_rows").set(float(plan.sessions))
+        shipped = sum(len(column) for table in tables for column in table.values())
+        obs.gauge("serve.hierarchy.arena_bytes").set(8.0 * shipped)
         obs.gauge("serve.hierarchy.arena_occupancy").set(occupied / slots)
         obs.gauge("serve.hierarchy.fanout_seconds").set(wall)
     return result

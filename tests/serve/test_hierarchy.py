@@ -5,8 +5,9 @@ shard count ``S`` must reproduce the flat fan-out — each
 :func:`shard_specs` slice served alone by ``serve_sessions(fast=True)``
 (and so, via that suite's own pins, by the event-loop service),
 concatenated in shard order — outcome for outcome, on every
-acceleration backend, for any worker count.  Everything else (cost-model planning, the shared-memory
-result arena, the reduced result surface) is tested around that core.
+acceleration backend, for any worker count.  Everything else
+(cost-model planning, the returned column blocks, the reduced result
+surface) is tested around that core.
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ import os
 import pytest
 
 from repro import accel
-from repro.core import kernel
 from repro.errors import ConfigurationError
 from repro.serve import LoadSpec, generate_requests, serve_sessions
 from repro.serve.admission import ADMITTED_REASON
 from repro.serve.hierarchy import (
     MAX_SHARD_SESSIONS,
     HierarchyPlan,
-    ResultArena,
     plan_hierarchy,
     resolve_auto_shards,
     run_hierarchy,
@@ -34,6 +33,14 @@ from repro.serve.hierarchy import (
 #: and shares bind — the regime where a transport bug would show.
 TIGHT = dict(sessions=48, seed=3, mean_interarrival=1e-3, gop_count=4, max_windows=2)
 TIGHT_CAPACITY = 4_000_000.0
+
+
+def shm_entries() -> set[str]:
+    """Names under ``/dev/shm`` (empty where the platform has none)."""
+    try:
+        return set(os.listdir("/dev/shm"))
+    except FileNotFoundError:
+        return set()
 
 
 def _tight_spec() -> LoadSpec:
@@ -196,32 +203,33 @@ class TestParity:
         assert all(o.reason == ADMITTED_REASON for o in result.admitted)
 
 
-class TestArena:
-    def test_no_segments_leak_after_a_run(self):
-        before = set(kernel.audit_segments())
-        run_hierarchy(_tight_spec(), TIGHT_CAPACITY, shards=4, jobs=2)
-        assert set(kernel.audit_segments()) == before
-
-    def test_arena_layout_and_unlink(self):
+class TestTransport:
+    def test_result_layout_matches_the_plan(self):
         plan = plan_hierarchy(
-            LoadSpec(sessions=10, gop_count=4, max_windows=2), 1e6, shards=3
+            LoadSpec(sessions=10, gop_count=4, max_windows=2), 1e6,
+            shards=3, workers=2,
         )
-        arena = ResultArena.create(plan)
-        try:
-            assert f"-{os.getpid()}-" in arena.shm_name
-            with arena.map() as view:
-                assert view.sessions.rows == 10
-                assert view.windows.rows == 3 * plan.windows_per_session
-                assert view.shards.rows == 3
-                column = view.sessions.column("admitted")
-                assert list(column) == [0.0] * 10
-                column[0] = 1.0
-            with arena.map() as view:
-                assert view.sessions.column("admitted")[0] == 1.0
-        finally:
-            arena.unlink()
-        arena.unlink()  # second unlink must be a no-op
+        result = run_hierarchy(plan, jobs=1)
+        slots = 3 * plan.windows_per_session
+        assert all(len(column) == 10 for column in result.columns.values())
+        assert all(len(column) == slots for column in result.window_totals.values())
+        assert all(len(column) == 3 for column in result.shard_stats.values())
+        # Two workers' blocks, concatenated in shard order.
+        assert result.shard_stats["sessions"] == [4.0, 3.0, 3.0]
 
+    def test_interrupted_pool_propagates(self, monkeypatch):
+        from repro.serve import hierarchy
+
+        def dying_pool(fn, tasks, jobs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(hierarchy, "parallel_map", dying_pool)
+        spec = LoadSpec(sessions=4, seed=0, gop_count=4, max_windows=2)
+        with pytest.raises(KeyboardInterrupt):
+            run_hierarchy(spec, 2e6, shards=2)
+
+
+class TestArena:
     def test_worker_error_propagates_and_cleans_up(self, monkeypatch):
         from repro.serve import hierarchy
 
@@ -229,10 +237,12 @@ class TestArena:
             raise RuntimeError("planned failure")
 
         monkeypatch.setattr(hierarchy, "_plan_shard", boom)
-        before = set(kernel.audit_segments())
+        before = shm_entries()
         with pytest.raises(RuntimeError, match="planned failure"):
             run_hierarchy(_tight_spec(), TIGHT_CAPACITY, shards=4, jobs=1)
-        assert set(kernel.audit_segments()) == before
+        # Results travel back as plain columns: a failed run leaves no
+        # shared-memory segment behind.
+        assert shm_entries() == before
 
 
 class TestResultSurface:
@@ -260,6 +270,20 @@ class TestResultSurface:
         for key in ("worker_plan_seconds", "worker_serve_seconds",
                     "worker_reduce_seconds", "coordinator_seconds"):
             assert perf[key] >= 0.0
+
+    def test_coordinator_seconds_count_the_processes_that_ran(self):
+        plan = plan_hierarchy(_tight_spec(), TIGHT_CAPACITY, shards=4, workers=2)
+        result = run_hierarchy(plan, jobs=1)
+        assert result.processes == 1
+        perf = result.performance_dict()
+        worker = (
+            perf["worker_plan_seconds"]
+            + perf["worker_serve_seconds"]
+            + perf["worker_reduce_seconds"]
+        )
+        assert perf["coordinator_seconds"] == max(
+            0.0, perf["wall_seconds"] - worker
+        )
 
     def test_per_window_curve_accounts_every_admitted_session(self):
         result = self._result()
