@@ -46,13 +46,20 @@ Allocation rule
 Stepping a window allocates many long-lived containers (per-window
 results, received/decodable sets, ACK dicts) but must never create a
 reference cycle: everything it builds is freed by reference counting
-alone.  That is why :func:`step_window` and :func:`step_fleet` pause
-the garbage collector while they run — its generational scans would
-only re-walk the growing result heap and find nothing to free.  The
-pause is taken only if the collector was on, and undone in a
-``finally``, so nested calls and callers that already turned it off
-are left as they were.  The collector is process-wide: other threads
-also go uncollected while a step runs.
+alone.  That is why the garbage collector is paused while windows are
+stepped — its generational scans would only re-walk the growing result
+heap and find nothing to free.  Each engine holds one pause around its
+whole loop (:func:`repro.core.batch.run_sessions_batch`'s windows, the
+serving fast path's epochs, a hierarchy worker's slabs, planning
+included), so no collection runs between steps either;
+:func:`step_window` and :func:`step_fleet` keep their own pause for
+direct callers.  The pause (:func:`_collector_paused`) is taken only if
+the collector was on, and undone in a ``finally``, so nested pauses and
+callers that already turned it off are left as they were.  The caches
+that outlive a step — a fast-path call's or a hierarchy worker's window
+infos, shapes and plans — must stay acyclic too.  The collector is
+process-wide: other threads also go uncollected while an engine loop
+runs.
 """
 
 from __future__ import annotations
@@ -253,6 +260,8 @@ class WindowInfo:
             shape = WindowShape(window, config)
             shapes[key] = shape
         self.shape = shape
+        if obs.enabled():
+            obs.counter("kernel.window_infos").inc()
         #: Cache of shared first-attempt timelines, keyed by
         #: (plan identity, window index).  Plans live in ``shape._plans``
         #: for the life of this info, so their ids are stable.

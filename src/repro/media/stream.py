@@ -7,12 +7,28 @@ streams have no inter-frame dependency.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StreamError
 from repro.media.gop import Gop, GopPattern, group_into_gops
 from repro.media.ldu import FrameType, Ldu
+
+#: Identity memo of ``(ldus, pattern)`` pairs that already passed
+#: :class:`VideoStream` validation.  Generated fleets wrap one shared LDU
+#: tuple in thousands of per-session streams, so re-checking every LDU
+#: against the GOP pattern per stream is pure waste.  Each entry pins
+#: both objects, so a recycled ``id`` can never vouch for a different
+#: tuple (the ``is`` checks); LDUs and patterns are frozen, so a pinned
+#: pair stays valid.
+_VALIDATED_SIZE = 64
+_validated: "OrderedDict[Tuple[int, int], Tuple[tuple, GopPattern]]" = OrderedDict()
+
+
+def _check_fps(fps: float) -> None:
+    if fps <= 0:
+        raise StreamError(f"fps must be positive, got {fps}")
 
 
 @dataclass(frozen=True)
@@ -35,8 +51,7 @@ class MediaStream:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.fps <= 0:
-            raise StreamError(f"fps must be positive, got {self.fps}")
+        _check_fps(self.fps)
         for expected, ldu in enumerate(self.ldus):
             if ldu.index != expected:
                 raise StreamError(
@@ -117,15 +132,26 @@ class VideoStream(MediaStream):
     pattern: Optional[GopPattern] = None
 
     def __post_init__(self) -> None:
+        key = (id(self.ldus), id(self.pattern))
+        hit = _validated.get(key)
+        if hit is not None and hit[0] is self.ldus and hit[1] is self.pattern:
+            _validated.move_to_end(key)
+            _check_fps(self.fps)  # the only field the memo does not cover
+            return
         MediaStream.__post_init__(self)
-        if self.pattern is not None:
-            for ldu in self.ldus:
-                expected = self.pattern.type_at(ldu.index)
-                if ldu.frame_type is not expected:
-                    raise StreamError(
-                        f"frame {ldu.index} has type {ldu.frame_type}, "
-                        f"pattern says {expected}"
-                    )
+        if self.pattern is None:
+            return
+        for ldu in self.ldus:
+            expected = self.pattern.type_at(ldu.index)
+            if ldu.frame_type is not expected:
+                raise StreamError(
+                    f"frame {ldu.index} has type {ldu.frame_type}, "
+                    f"pattern says {expected}"
+                )
+        if type(self.ldus) is tuple:
+            _validated[key] = (self.ldus, self.pattern)
+            if len(_validated) > _VALIDATED_SIZE:
+                _validated.popitem(last=False)
 
     def __hash__(self) -> int:
         # Memoized like the parent's (the dataclass decorator would

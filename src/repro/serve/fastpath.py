@@ -201,6 +201,82 @@ def _ack_serialization(row: _FleetRow) -> float:
     return _CONTROL_PACKET_BYTES * 8.0 / row.bandwidth_bps
 
 
+class _StepCache:
+    """Window-step caches shared by every fleet one engine loop advances.
+
+    A window's packetization, LPTO/k-CPO plans and first-attempt
+    timeline depend only on the window, the config family and the
+    effective share — never on which shard or fleet a row belongs to.
+    :func:`_execute_fleet` keeps one cache per call; the hierarchical
+    fan-out keeps one per worker chunk, so every shard and slab a worker
+    serves reuses the same :class:`~repro.core.kernel.WindowInfo`
+    objects (with their schedule and clean-verdict memos) and the same
+    permutation plans.  Fair shares are ``capacity / active``, so they
+    repeat across shards and the info count stays at the number of
+    distinct keys.
+    """
+
+    __slots__ = ("_families", "_window_ids", "_windows_by_obj", "_shapes", "infos")
+
+    def __init__(self) -> None:
+        #: (config sans seed, fps) -> family id.
+        self._families: Dict[tuple, int] = {}
+        #: Window content -> window id.  Hashing a 24-LDU tuple is the
+        #: expensive part, so ``_windows_by_obj`` memoizes it per object.
+        self._window_ids: Dict[Tuple[Ldu, ...], int] = {}
+        #: ``id(window) -> (window, wid)``.  The pair pins the tuple:
+        #: slabs are freed while the cache lives, and a recycled id must
+        #: never inherit a freed window's content id (the ``is`` check).
+        self._windows_by_obj: Dict[int, Tuple[Tuple[Ldu, ...], int]] = {}
+        #: Shape caches (schedulers, dependency masks, permutation
+        #: plans) are keyed by the scheduling family only, so every
+        #: share of a window shares one plan cache.  The family carries
+        #: the phase schedule too: scenarios that differ only in channel
+        #: dynamics evolve different burst bounds and must not share.
+        self._shapes: Dict[tuple, dict] = {}
+        #: (family id, effective share, window id) -> WindowInfo.
+        self.infos: Dict[Tuple[int, float, int], _WindowInfo] = {}
+
+    def family_id(self, config, fps: float) -> int:
+        """Intern a row's config family: rows agree on it bar the seed."""
+        base = (replace(config, seed=0), fps)
+        return self._families.setdefault(base, len(self._families))
+
+    def window_id(self, window: Tuple[Ldu, ...]) -> int:
+        hit = self._windows_by_obj.get(id(window))
+        if hit is not None and hit[0] is window:
+            return hit[1]
+        wid = self._window_ids.setdefault(window, len(self._window_ids))
+        self._windows_by_obj[id(window)] = (window, wid)
+        return wid
+
+    def info_for(
+        self, key: Tuple[int, float, int], row: _FleetRow, window
+    ) -> _WindowInfo:
+        """The shared :class:`WindowInfo` of one group key, built once.
+
+        ``row`` and ``window`` are any member of the group and its window.
+        """
+        info = self.infos.get(key)
+        if info is None:
+            config = row.config
+            effective = key[1]
+            family = (
+                config.closed_gops,
+                config.effort,
+                config.layered,
+                config.channel_phases,
+            )
+            info = _WindowInfo(
+                window,
+                replace(config, seed=0, bandwidth_bps=effective),
+                row.fps,
+                self._shapes.setdefault(family, {}),
+            )
+            self.infos[key] = info
+        return info
+
+
 class _FleetExecution:
     """One admitted fleet advancing in window-ordinal lockstep.
 
@@ -215,103 +291,51 @@ class _FleetExecution:
     iff their (config sans seed, fps), window tuple and effective share
     all agree (the grouping invariant :func:`step_window` requires) —
     with serve-grade shedding and the share-dependent ACK serialization
-    bound in.  ``finalize()`` writes each row's results back onto its
-    session outcome.
+    bound in.  Window infos and plans come from the caller's
+    :class:`_StepCache`, which may outlive this fleet.  ``finalize()``
+    writes each row's results back onto its session outcome.
     """
 
-    __slots__ = (
-        "rows",
-        "shed_policy",
-        "total_windows",
-        "_shape_caches",
-        "_info_cache",
-        "_window_ids",
-        "_window_ids_by_obj",
-    )
+    __slots__ = ("rows", "shed_policy", "total_windows", "cache")
 
-    def __init__(self, plans: List[_SessionPlan], shed_policy) -> None:
+    def __init__(
+        self, plans: List[_SessionPlan], shed_policy, cache: _StepCache
+    ) -> None:
         self.rows = [_FleetRow(plan) for plan in plans]
         self.shed_policy = shed_policy
-        # Shape caches (schedulers, dependency masks, permutation plans)
-        # are keyed by the config family only, so every bandwidth
-        # variant of a window shares one plan cache.  Window infos
-        # additionally depend on the packetization timing, hence on the
-        # effective share.
-        self._shape_caches: Dict[tuple, dict] = {}
-        self._info_cache: Dict[tuple, _WindowInfo] = {}
-        # Intern the expensive-to-hash group-key components once: rows
-        # share a batch group iff their (config sans seed, fps), window
-        # tuple and effective share all agree, but hashing whole configs
-        # and 24-LDU window tuples on every row-step would dominate the
-        # bookkeeping.
-        config_ids: Dict[tuple, int] = {}
+        self.cache = cache
+        # Interned once per row: hashing whole configs on every
+        # row-step would dominate the grouping bookkeeping.
         for row in self.rows:
-            base = (replace(row.config, seed=0), row.fps)
-            row.group_id = config_ids.setdefault(base, len(config_ids))
-        self._window_ids: Dict[Tuple[Ldu, ...], int] = {}
-        # Identity memo over the content map: the service interns window
-        # tuples per stream shape, so most rows carry the *same* tuple
-        # objects and the 24-LDU content hash runs once per distinct
-        # object (ids are stable here — the plans keep every window
-        # alive).
-        self._window_ids_by_obj: Dict[int, int] = {}
+            row.group_id = cache.family_id(row.config, row.fps)
         self.total_windows = max(len(row.plan.windows) for row in self.rows)
 
     def batches_for(self, ordinal: int) -> List[kernel.FleetBatch]:
         """The epoch's uniform row groups, shares applied, ready to step."""
         groups: Dict[tuple, List[_FleetRow]] = {}
-        group_info: Dict[tuple, _WindowInfo] = {}
-        group_window: Dict[tuple, Tuple[Ldu, ...]] = {}
-        info_cache = self._info_cache
-        window_ids_by_obj = self._window_ids_by_obj
+        window_id = self.cache.window_id
         for row in self.rows:
             if ordinal >= len(row.plan.windows):
                 continue
             effective = row.apply_share(row.plan.shares[ordinal])
             row.plan.outcome.share_bps = effective
-            window = row.plan.windows[ordinal]
-            wid = window_ids_by_obj.get(id(window))
-            if wid is None:
-                wid = self._window_ids.setdefault(window, len(self._window_ids))
-                window_ids_by_obj[id(window)] = wid
-            key = (row.group_id, effective, wid)
-            info = info_cache.get(key)
-            if info is None:
-                # The family carries the phase schedule too: scenarios
-                # that differ only in channel dynamics get separate
-                # shape/permutation-plan caches (their burst bounds
-                # evolve differently, so sharing would couple them).
-                family = (
-                    row.config.closed_gops,
-                    row.config.effort,
-                    row.config.layered,
-                    row.config.channel_phases,
-                )
-                shapes = self._shape_caches.setdefault(family, {})
-                info = _WindowInfo(
-                    window,
-                    replace(row.config, seed=0, bandwidth_bps=effective),
-                    row.fps,
-                    shapes,
-                )
-                info_cache[key] = info
+            key = (row.group_id, effective, window_id(row.plan.windows[ordinal]))
             members = groups.get(key)
             if members is None:
                 groups[key] = [row]
-                group_info[key] = info
-                group_window[key] = window
             else:
                 members.append(row)
         shed_policy = self.shed_policy
         batches: List[kernel.FleetBatch] = []
         for key, members in groups.items():
-            window = group_window[key]
-            fps = members[0].fps
+            first = members[0]
+            window = first.plan.windows[ordinal]
+            fps = first.fps
             batches.append(
                 kernel.FleetBatch(
                     rows=members,
-                    info=group_info[key],
-                    config=members[0].config,  # uniform bar the seed
+                    info=self.cache.info_for(key, first, window),
+                    config=first.config,  # uniform bar the seed
                     fps=fps,
                     window_index=ordinal,
                     control_serialization=_ack_serialization,
@@ -352,22 +376,27 @@ def _execute_fleet(plans: List[_SessionPlan], shed_policy) -> None:
     point (:func:`repro.core.kernel.step_fleet`): rows that cannot
     cover their window's first-attempt packets (plus retransmission
     slack) refill together, one stacked Gilbert call per
-    channel-parameter family, then every group advances.
+    channel-parameter family, then every group advances.  The garbage
+    collector stays paused across the whole epoch loop (the kernel's
+    allocation rule).
     """
-    execution = _FleetExecution(plans, shed_policy)
+    execution = _FleetExecution(plans, shed_policy, _StepCache())
     track = obs.enabled()
-    for ordinal in range(execution.total_windows):
-        batches = execution.batches_for(ordinal)
-        refilled = kernel.step_fleet(batches)
-        if track:
-            obs.counter("serve.fastpath.steps").inc()
-            if refilled:
-                obs.counter("serve.fastpath.refill_rows").inc(refilled)
-            for batch in batches:
-                if len(batch.rows) > 1:
-                    obs.counter("serve.fastpath.windows_batched").inc(len(batch.rows))
-                else:
-                    obs.counter("serve.fastpath.windows_fallback").inc()
+    with kernel._collector_paused():
+        for ordinal in range(execution.total_windows):
+            batches = execution.batches_for(ordinal)
+            refilled = kernel.step_fleet(batches)
+            if track:
+                obs.counter("serve.fastpath.steps").inc()
+                if refilled:
+                    obs.counter("serve.fastpath.refill_rows").inc(refilled)
+                for batch in batches:
+                    if len(batch.rows) > 1:
+                        obs.counter("serve.fastpath.windows_batched").inc(
+                            len(batch.rows)
+                        )
+                    else:
+                        obs.counter("serve.fastpath.windows_fallback").inc()
     execution.finalize()
 
 

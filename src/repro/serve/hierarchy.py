@@ -26,7 +26,12 @@ two axes:
    :func:`repro.core.kernel.step_fleet` slab call — cross-shard rows
    refill off one stacked Gilbert draw per channel family and share
    receiver verdicts per distinct received-offsets bitmask, with no
-   per-session Python object crossing a process boundary.  Per-row
+   per-session Python object crossing a process boundary.  One window
+   step cache per worker (:class:`~repro.serve.fastpath._StepCache`)
+   serves all of its shards and slabs, so each distinct (config
+   family, share, window) builds one window info and each window shape
+   plans its permutations once per worker; the garbage collector stays
+   paused across the worker's whole slab loop.  Per-row
    draws come off private streams, so interleaving shards changes no
    row's loss sequence (the parity battery in
    ``tests/serve/test_hierarchy.py`` pins this bit-for-bit against
@@ -61,7 +66,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.parallel import parallel_map
 from repro.media.gop import GOP_12
 from repro.serve.admission import ADMITTED_REASON
-from repro.serve.fastpath import _FleetExecution, _PlanningService
+from repro.serve.fastpath import _FleetExecution, _PlanningService, _StepCache
 from repro.serve.loadgen import LoadSpec, generate_requests
 from repro.serve.service import SessionOutcome
 
@@ -385,6 +390,7 @@ def _plan_shard(
     shedding: bool,
     admission: bool,
     rejected: List[Tuple[int, str]],
+    cache: _StepCache,
 ) -> Tuple[Optional[_FleetExecution], int]:
     """Replay one shard's scheduling; write the static outcome columns.
 
@@ -393,6 +399,8 @@ def _plan_shard(
     non-numeric outcome data — are collected into ``rejected`` as
     ``(fleet_row, reason)`` pairs; admitted reasons need no transport
     (they are all :data:`~repro.serve.admission.ADMITTED_REASON`).
+    The fleet draws its window infos and plans from the worker's
+    ``cache``.
     """
     from repro.serve.bandwidth import make_scheduler
 
@@ -424,7 +432,9 @@ def _plan_shard(
             plans.append(planner.session_plans[outcome.request.session_id])
         elif outcome.reason:
             rejected.append((row, outcome.reason))
-    execution = _FleetExecution(plans, planner._shed_policy) if plans else None
+    execution = (
+        _FleetExecution(plans, planner._shed_policy, cache) if plans else None
+    )
     return execution, admitted
 
 
@@ -475,6 +485,7 @@ def _run_slab(
     shedding: bool,
     admission: bool,
     rejected: List[Tuple[int, str]],
+    cache: _StepCache,
 ) -> None:
     """Plan, execute and reduce one slab of shards.
 
@@ -489,7 +500,14 @@ def _run_slab(
     for task in slab:
         started = time.perf_counter()
         execution, admitted = _plan_shard(
-            task, block, capacity_bps, scheduler_name, shedding, admission, rejected
+            task,
+            block,
+            capacity_bps,
+            scheduler_name,
+            shedding,
+            admission,
+            rejected,
+            cache,
         )
         _write_row(
             meta,
@@ -532,15 +550,30 @@ def _run_worker(task):
     — the rejected-reason pairs plus the block's ``{name: array('d')}``
     columns.  Exceptions travel home as ``("error", exc)`` markers so the
     pool survives and the coordinator re-raises the first one.
+
+    One :class:`~repro.serve.fastpath._StepCache` serves the whole chunk,
+    so window infos and plans built for one shard are reused by every
+    later shard and slab.  The garbage collector stays paused across the
+    slab loop (the kernel's allocation rule) and is restored before an
+    error marker is built.
     """
     chunk, capacity_bps, scheduler_name, shedding, admission, max_windows = task
     try:
         block = _Block(chunk, max_windows)
         rejected: List[Tuple[int, str]] = []
-        for slab in _slabs(chunk):
-            _run_slab(
-                slab, block, capacity_bps, scheduler_name, shedding, admission, rejected
-            )
+        cache = _StepCache()
+        with kernel._collector_paused():
+            for slab in _slabs(chunk):
+                _run_slab(
+                    slab,
+                    block,
+                    capacity_bps,
+                    scheduler_name,
+                    shedding,
+                    admission,
+                    rejected,
+                    cache,
+                )
         return ("ok", (rejected, block.sessions, block.windows, block.shards))
     except Exception as exc:
         return ("error", exc)

@@ -30,7 +30,7 @@ sequential engine.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.layered import LayeredPlan
 from repro.errors import ConfigurationError
@@ -38,6 +38,9 @@ from repro.media.ldu import Ldu
 from repro.network.estimation import GilbertEstimator
 
 __all__ = ["LayeredShedPolicy"]
+
+#: Windows whose per-frame sums one policy remembers (FIFO beyond it).
+_WINDOW_SUMS_SIZE = 256
 
 
 class LayeredShedPolicy:
@@ -74,6 +77,13 @@ class LayeredShedPolicy:
         self.headroom = headroom
         self.retry_cap = retry_cap
         self.reserve_cap = reserve_cap
+        #: ``id(window) -> (window, sizes, anchor_bits, total_bits)``.
+        #: Every row of a fleet sheds against the same few window
+        #: tuples, so their sums are computed once per window.  The entry
+        #: pins its tuple, so a recycled ``id`` never matches (``is``).
+        self._window_sums: Dict[
+            int, Tuple[tuple, List[int], int, float]
+        ] = {}
 
     def reserve_bits(
         self,
@@ -113,14 +123,9 @@ class LayeredShedPolicy:
         n = len(window)
         cycle = n / fps
         air_bits = bandwidth_bps * cycle
-        sizes = [ldu.size_bits for ldu in window]
-        anchor_bits = sum(
-            size
-            for ldu, size in zip(window, sizes)
-            if ldu.frame_type.is_anchor
-        )
+        sizes, anchor_bits, total_bits = self._sums(window)
         budget = air_bits - self.reserve_bits(air_bits, anchor_bits, estimator)
-        excess = float(sum(sizes)) - budget
+        excess = total_bits - budget
         if excess <= 0:
             return frozenset()
         shed = set()
@@ -136,3 +141,22 @@ class LayeredShedPolicy:
             if excess <= 0:
                 break
         return frozenset(shed)
+
+    def _sums(self, window: Sequence[Ldu]) -> Tuple[List[int], int, float]:
+        """(per-frame bits, anchor bits, total bits) of one window."""
+        hit = self._window_sums.get(id(window))
+        if hit is not None and hit[0] is window:
+            return hit[1], hit[2], hit[3]
+        sizes = [ldu.size_bits for ldu in window]
+        anchor_bits = sum(
+            size
+            for ldu, size in zip(window, sizes)
+            if ldu.frame_type.is_anchor
+        )
+        total_bits = float(sum(sizes))
+        if type(window) is tuple:  # immutable, so safe to remember
+            memo = self._window_sums
+            if len(memo) >= _WINDOW_SUMS_SIZE:
+                del memo[next(iter(memo))]
+            memo[id(window)] = (window, sizes, anchor_bits, total_bits)
+        return sizes, anchor_bits, total_bits

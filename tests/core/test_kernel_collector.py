@@ -1,13 +1,16 @@
 """The kernel's garbage-collector pause and the allocation rule behind it.
 
 :func:`repro.core.kernel.step_window` and :func:`~repro.core.kernel.step_fleet`
-turn the collector off while they run, which is only sound because
-stepping never creates reference cycles.  These tests pin both halves:
-the collector's on/off state is restored exactly (on return, on a
-raising hook, under a caller that already turned it off, across the
-nested ``step_fleet`` -> ``step_window`` call), and the engines leave no
-cyclic garbage whose amount grows with the number of windows stepped.
-The mid-window refill branch of the scalar sender is pinned here too.
+turn the collector off while they run, and each engine loop
+(``run_sessions_batch``'s windows, the fast path's epochs, a hierarchy
+worker's slabs) holds one pause around its whole loop.  That is only
+sound because stepping never creates reference cycles.  These tests pin
+both halves: the collector's on/off state is restored exactly (on
+return, on a raising hook or shard, under a caller that already turned
+it off, across nested pauses), no collection runs inside an engine
+loop, and the engines leave no cyclic garbage whose amount grows with
+the number of windows stepped or shards served.  The mid-window refill
+branch of the scalar sender is pinned here too.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from repro.core.batch import run_sessions_batch
 from repro.core.protocol import ProtocolConfig, ProtocolSession
 from repro.media.gop import GopPattern
 from repro.media.stream import make_video_stream
-from repro.serve import LoadSpec, generate_requests, serve_sessions
+from repro.serve import LoadSpec, generate_requests, hierarchy, serve_sessions
 from repro.serve.hierarchy import run_hierarchy
 from repro.traces.synthetic import calibrated_stream
 
@@ -129,6 +132,102 @@ def test_nested_step_window_keeps_the_fleet_pause(stream):
 
 
 # ----------------------------------------------------------------------
+# One pause per engine loop
+# ----------------------------------------------------------------------
+
+
+def _loop_batch(stream):
+    run_sessions_batch(stream, CONFIG, seeds=range(8), max_windows=30)
+
+
+def _loop_serve(stream):
+    serve_sessions(generate_requests(_spec(30)), CAPACITY, fast=True)
+
+
+def _loop_hierarchy(stream):
+    # One worker: each worker chunk is its own engine loop.
+    run_hierarchy(_spec(8), CAPACITY, shards=4, workers=1, jobs=1)
+
+
+#: (engine, [(module, name), ...] of the calls that mark its loop body).
+LOOPS = [
+    (_loop_batch, [(kernel, "step_window")]),
+    (_loop_serve, [(kernel, "step_fleet")]),
+    (_loop_hierarchy, [(hierarchy, "_plan_shard"), (kernel, "step_fleet")]),
+]
+
+
+@pytest.mark.parametrize("engine,marks", LOOPS, ids=["batch", "serve", "hierarchy"])
+def test_no_collection_inside_the_engine_loop(stream, monkeypatch, engine, marks):
+    events = []
+
+    def marked(original):
+        def wrapper(*args, **kwargs):
+            events.append(("mark", gc.isenabled()))
+            try:
+                return original(*args, **kwargs)
+            finally:
+                events.append(("mark", gc.isenabled()))
+
+        return wrapper
+
+    for module, name in marks:
+        monkeypatch.setattr(module, name, marked(getattr(module, name)))
+
+    def on_gc(phase, info):
+        if phase == "start":
+            events.append(("gc", info["generation"]))
+
+    gc.enable()
+    gc.callbacks.append(on_gc)
+    try:
+        engine(stream)
+    finally:
+        gc.callbacks.remove(on_gc)
+    assert gc.isenabled()
+    kinds = [kind for kind, _ in events]
+    first, last = kinds.index("mark"), len(kinds) - 1 - kinds[::-1].index("mark")
+    assert last - first > 4, "the engine loop must have run several bodies"
+    inside = events[first : last + 1]
+    assert not [event for event in inside if event[0] == "gc"], inside
+    assert not any(enabled for kind, enabled in inside if kind == "mark")
+
+
+@pytest.mark.parametrize(
+    "engine", [engine for engine, _ in LOOPS], ids=["batch", "serve", "hierarchy"]
+)
+def test_caller_disabled_collector_stays_off_across_engines(stream, engine):
+    gc.disable()
+    engine(stream)
+    assert not gc.isenabled()
+
+
+def test_hierarchy_restores_the_collector_when_a_shard_raises(monkeypatch):
+    """The worker's error marker is built after its slab-loop pause ends."""
+    original = hierarchy._plan_shard
+    seen = []
+
+    def failing_second_shard(task, *args, **kwargs):
+        seen.append(gc.isenabled())
+        if task.index == 1:
+            raise RuntimeError("shard failed")
+        return original(task, *args, **kwargs)
+
+    monkeypatch.setattr(hierarchy, "_plan_shard", failing_second_shard)
+    plan = hierarchy.plan_hierarchy(_spec(4), CAPACITY, shards=4, workers=1)
+    gc.enable()
+    marker, error = hierarchy._run_worker(
+        (list(plan.shard_tasks), CAPACITY, "fair", True, True, 4)
+    )
+    assert (marker, str(error)) == ("error", "shard failed")
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="shard failed"):
+        run_hierarchy(plan, jobs=1)
+    assert gc.isenabled()
+    assert seen and not any(seen)
+
+
+# ----------------------------------------------------------------------
 # No cyclic garbage: the pause can never grow RSS with run length
 # ----------------------------------------------------------------------
 
@@ -177,6 +276,20 @@ def test_cyclic_garbage_does_not_grow_with_windows(stream, run):
     short = _cyclic_garbage(run, stream, 5)
     long = _cyclic_garbage(run, stream, 40)
     assert long <= short, (short, long)
+
+
+def test_hierarchy_cyclic_garbage_does_not_grow_with_shards(stream):
+    """A worker's step cache outlives its shards; it must stay acyclic."""
+    spec = replace(_spec(4), sessions=64)
+
+    def run(stream, shards):
+        return run_hierarchy(spec, CAPACITY, shards=shards, workers=1, jobs=1)
+
+    counts = []
+    for shards in (2, 16, 64):
+        run(stream, shards)  # warm the process-wide caches first
+        counts.append(_cyclic_garbage(run, stream, shards))
+    assert counts == [counts[0]] * 3, counts
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import StreamError
-from repro.media.gop import GOP_12
+from repro.media.gop import GOP_12, GopPattern
 from repro.media.ldu import FrameType, Ldu
 from repro.media.stream import (
     MediaStream,
@@ -117,3 +119,39 @@ class TestVideoStream:
         stream = make_video_stream(GOP_12, gop_count=2)
         assert stream[13].gop_index == 1
         assert stream[13].position_in_gop == 1
+
+
+class TestValidationMemo:
+    """A validated ``(ldus, pattern)`` pair is not re-checked per stream."""
+
+    def test_shared_tuple_is_checked_once(self, monkeypatch):
+        base = make_video_stream(GOP_12, gop_count=2)
+        VideoStream(ldus=base.ldus, fps=base.fps, name="a", pattern=GOP_12)
+        calls = []
+        original = GopPattern.type_at
+
+        def counting(self, index):
+            calls.append(index)
+            return original(self, index)
+
+        monkeypatch.setattr(GopPattern, "type_at", counting)
+        named = VideoStream(ldus=base.ldus, fps=base.fps, name="b", pattern=GOP_12)
+        assert calls == []
+        assert named.ldus is base.ldus
+
+    def test_bad_frame_type_still_raises(self):
+        base = make_video_stream(GOP_12, gop_count=1)
+        bad = (replace(base.ldus[0], frame_type=FrameType.B),) + base.ldus[1:]
+        for _ in range(2):  # a failure is never remembered
+            with pytest.raises(StreamError):
+                VideoStream(ldus=bad, pattern=GOP_12)
+
+    def test_validated_tuple_with_another_pattern_is_checked_again(self):
+        base = make_video_stream(GOP_12, gop_count=1)
+        with pytest.raises(StreamError):
+            VideoStream(ldus=base.ldus, pattern=GopPattern.parse("IBBP"))
+
+    def test_rate_is_checked_on_a_memo_hit(self):
+        base = make_video_stream(GOP_12, gop_count=1)
+        with pytest.raises(StreamError):
+            VideoStream(ldus=base.ldus, fps=0.0, pattern=GOP_12)

@@ -245,6 +245,71 @@ class TestArena:
         assert shm_entries() == before
 
 
+class TestStepCache:
+    """One window-step cache per worker chunk, shared by its shards."""
+
+    #: 16 shards of four viewers, two windows each: shares repeat across
+    #: shards (fair share is capacity / active), so infos should too.
+    SPEC = dict(
+        sessions=64, seed=11, mean_interarrival=1e-3, gop_count=4, max_windows=2
+    )
+
+    def _oracle_keys(self, spec, shards):
+        flat = _flat_fanout(spec, TIGHT_CAPACITY, shards)
+        return _keys([o for shard in flat for o in shard.outcomes])
+
+    def test_one_info_per_distinct_key(self, monkeypatch):
+        from repro import obs
+        from repro.serve import fastpath, hierarchy
+
+        caches = []
+
+        class RecordingCache(fastpath._StepCache):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__()
+                caches.append(self)
+
+        monkeypatch.setattr(hierarchy, "_StepCache", RecordingCache)
+        spec = LoadSpec(**self.SPEC)
+        registry = obs.enable()
+        obs.reset()
+        try:
+            hier = run_hierarchy(
+                spec, TIGHT_CAPACITY, shards=16, workers=1, jobs=1
+            )
+            counters = registry.snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert len(caches) == 1
+        built = counters["kernel.window_infos"]
+        assert built == len(caches[0].infos)
+        # Far fewer builds than window steps: shards reuse each other's.
+        assert 4 * built <= counters["kernel.steps"], counters
+        assert _keys(hier.outcomes) == self._oracle_keys(spec, 16)
+
+    def test_multi_slab_run_matches_the_oracle(self, monkeypatch):
+        from repro.serve import hierarchy, service
+
+        # A few shards per slab, and fresh window tuples for every shard,
+        # so slabs (and the windows only they held) are freed while the
+        # worker's cache keeps serving later slabs.
+        monkeypatch.setattr(hierarchy, "SLAB_SESSION_BUDGET", 12)
+        original = hierarchy._plan_shard
+
+        def fresh_windows_plan_shard(*args, **kwargs):
+            service._windows_cache.clear()
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hierarchy, "_plan_shard", fresh_windows_plan_shard)
+        spec = LoadSpec(**self.SPEC)
+        plan = plan_hierarchy(spec, TIGHT_CAPACITY, shards=16, workers=1)
+        assert len(list(hierarchy._slabs(plan.shard_tasks))) > 1
+        hier = run_hierarchy(plan, jobs=1)
+        assert _keys(hier.outcomes) == self._oracle_keys(spec, 16)
+
+
 class TestResultSurface:
     def _result(self):
         return run_hierarchy(_tight_spec(), TIGHT_CAPACITY, shards=6, jobs=1)

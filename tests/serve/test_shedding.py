@@ -97,6 +97,28 @@ class TestSelect:
         assert len(lighter) <= len(heavier)
 
 
+class TestWindowSums:
+    """Per-window sums are computed once per window tuple and reused."""
+
+    def test_memoized_policy_sheds_exactly_like_a_fresh_one(self, window, plan):
+        warm = LayeredShedPolicy()
+        native = window_bps(window)
+        for fraction in (0.95, 0.8, 0.6, 0.3):
+            bandwidth = native * fraction
+            first = warm.select(window, plan, bandwidth, FPS)
+            assert warm.select(window, plan, bandwidth, FPS) == first
+            assert first == LayeredShedPolicy().select(window, plan, bandwidth, FPS)
+        assert len(warm._window_sums) == 1
+
+    def test_mutable_windows_are_not_remembered(self, window, plan):
+        policy = LayeredShedPolicy()
+        as_list = list(window)
+        squeeze = window_bps(window) * 0.5
+        expected = LayeredShedPolicy().select(window, plan, squeeze, FPS)
+        assert policy.select(as_list, plan, squeeze, FPS) == expected
+        assert not policy._window_sums
+
+
 class TestReserve:
     def test_headroom_floor(self):
         policy = LayeredShedPolicy(headroom=0.1)

@@ -18,7 +18,13 @@ Four targets:
   (:mod:`repro.serve.hierarchy`) on a K = 1024, 32-shard plan with
   ``jobs=1`` so the shard workers execute in-process and the listing
   covers both sides of the split; the sanity line reports the
-  coordinator-vs-worker wall breakdown from ``performance_dict()``.
+  coordinator-vs-worker wall breakdown from ``performance_dict()`` and
+  the ``kernel.window_infos`` one call builds (counted on the warm-up
+  call, which runs the same plan with metrics on).
+
+Every sanity line ends with the profiled call's garbage collections per
+generation, so a collector pause that stopped covering an engine loop
+shows up next to the listing.
 
 Writes the full cumulative-time listing to
 ``benchmarks/results/PROFILE_<rev>[_<target>].txt`` and prints the top
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import io
 import pstats
 import subprocess
@@ -81,7 +88,8 @@ def main(argv: list[str] | None = None) -> int:
 
     sys.path.insert(0, str(REPO_ROOT / "src"))
     if args.target == "hierarchy":
-        from repro.serve import LoadSpec, generate_requests, serve_sessions
+        from repro import obs
+        from repro.serve import LoadSpec
         from repro.serve.hierarchy import plan_hierarchy, run_hierarchy
 
         spec = LoadSpec(
@@ -92,10 +100,20 @@ def main(argv: list[str] | None = None) -> int:
             mean_interarrival=1e-4,
         )
         capacity_bps = 20e6
-        # Warm the permutation, stream and demand caches so the profile
-        # shows the steady-state fan-out, not one-off plan searches.
-        serve_sessions(generate_requests(spec), capacity_bps, fast=True)
         plan = plan_hierarchy(spec, capacity_bps)
+        # Warm the permutation, stream and demand caches so the profile
+        # shows the steady-state fan-out, not one-off plan searches.  The
+        # warm-up runs the same plan with metrics on, so it also counts
+        # the window infos one call builds.
+        registry = obs.enable()
+        obs.reset()
+        try:
+            run_hierarchy(plan, jobs=1)
+            counters = registry.snapshot()["counters"]
+        finally:
+            obs.disable()
+        window_infos = counters.get("kernel.window_infos", 0)
+        steps = counters.get("kernel.steps", 0)
 
         def workload():
             # jobs=1 keeps the shard workers in-process so cProfile sees
@@ -111,7 +129,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"serve {perf['worker_serve_seconds']:.3f}s / "
                 f"reduce {perf['worker_reduce_seconds']:.3f}s / "
                 f"coordinator {perf['coordinator_seconds']:.3f}s "
-                f"({perf['sessions_per_second']:,.0f} sessions/s)"
+                f"({perf['sessions_per_second']:,.0f} sessions/s); "
+                f"kernel.window_infos {window_infos} for {steps} steps"
             )
     elif args.target in ("serve", "kernel"):
         from repro.serve import LoadSpec, generate_requests, serve_sessions
@@ -165,9 +184,13 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     profiler = cProfile.Profile()
+    before = [stats["collections"] for stats in gc.get_stats()]
     profiler.enable()
     result = workload()
     profiler.disable()
+    collections = [
+        stats["collections"] - start for stats, start in zip(gc.get_stats(), before)
+    ]
 
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
@@ -197,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError:
         rel = out_path
     print(f"\nfull listing: {rel}")
-    print(sanity(result))
+    print(f"{sanity(result)}; gc collections per generation {collections}")
     return 0
 
 
